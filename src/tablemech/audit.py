@@ -20,7 +20,6 @@ and the audit and the extraction are two readings of one computation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,16 +69,23 @@ def _as_grid_mechanism(mech) -> GridMechanism:
     raise TypeError(f"cannot audit {type(mech).__name__}")
 
 
-def _achievable(mech: GridMechanism, messages: str) -> np.ndarray:
-    """Boolean (k^n, n): projects reachable by some feasible deviation, per truth."""
-    n, k = mech.n_projects, mech.grid_resolution
+def _point(flat: int, n: int, k: int) -> tuple:
+    """Grid coordinates of a flattened lattice index."""
+    grid = np.linspace(0.0, 1.0, k)
+    return tuple(grid[list(np.unravel_index(flat, (k,) * n))])
+
+
+def _reach(mech: GridMechanism) -> np.ndarray:
+    """Boolean (k^n, n): projects each profit report triggers for some payoff report."""
     dec = mech.decisions
-    size = k**n
-    reach = np.zeros((size, n), dtype=bool)
-    for i in range(n):
-        reach[:, i] = (dec == i).any(axis=1)
+    return np.stack([(dec == i).any(axis=1) for i in range(mech.n_projects)], axis=1)
+
+
+def _achievable(reach: np.ndarray, k: int, messages: str) -> np.ndarray:
+    """Boolean (k^n, n): projects reachable by some feasible deviation, per truth."""
+    size, n = reach.shape
     if messages == UNRESTRICTED:
-        return np.broadcast_to(reach.any(axis=0), (size, n)).copy()
+        return np.broadcast_to(reach.any(axis=0), (size, n))
     if messages != NO_OVERSELLING:
         raise ValueError(f"unknown message correspondence {messages!r}")
     cube = reach.reshape((k,) * n + (n,))
@@ -88,56 +94,50 @@ def _achievable(mech: GridMechanism, messages: str) -> np.ndarray:
     return cube.reshape(size, n)
 
 
-def _pair_count(mech: GridMechanism, messages: str) -> int:
-    """Total (truth, feasible report) pairs covered by an exhaustive audit."""
-    n, k = mech.n_projects, mech.grid_resolution
-    payoffs = k**n
-    if messages == UNRESTRICTED:
-        profit_reports = (k**n) ** 2  # any pi at any p
-    else:
-        profit_reports = (k * (k + 1) // 2) ** n  # sum over p of prod(idx+1)
-    return payoffs * payoffs * profit_reports
+def _multi_indices(n: int, k: int) -> np.ndarray:
+    """Per-axis grid indices of every lattice point in C order, shape (k^n, n)."""
+    return np.indices((k,) * n).reshape(n, -1).T
 
 
-def _first_violation(dec, achievable, vals, row_range=None):
-    """Lex-first (p_flat, a_flat, gain) with a strict achievable improvement."""
+def _best(achievable_rows: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
+    """Best agent payoff over the achievable projects, row by row."""
+    return np.where(achievable_rows, payoffs, -np.inf).max(axis=-1)
+
+
+def _first_violation(dec, achievable, vals):
+    """Lex-first (p_flat, a_flat) with a strict achievable improvement."""
     size, n = achievable.shape
-    rows = range(size) if row_range is None else row_range
     block = max(1, _BLOCK_CELLS // (vals.shape[0] * n))
-    rows = list(rows)
-    for start in range(0, len(rows), block):
-        chunk = rows[start : start + block]
-        ach = achievable[chunk][:, None, :]  # (B, 1, n)
-        best = np.where(ach, vals[None, :, :], -np.inf).max(axis=2)  # (B, A)
+    cols = np.arange(vals.shape[0])[None, :]
+    for start in range(0, size, block):
+        rows = np.arange(start, min(start + block, size))
+        best = _best(achievable[rows][:, None, :], vals[None, :, :])  # (B, A)
         # truthful[b, a] = vals[a, dec[p_b, a]]: agent's payoff when honest
-        truthful = vals[np.arange(vals.shape[0])[None, :], dec[chunk]]
+        truthful = vals[cols, dec[rows]]
         viol = best > truthful
         if viol.any():
             b, a = np.argwhere(viol)[0]
-            return int(chunk[b]), int(a), float(best[b, a] - truthful[b, a])
+            return int(rows[b]), int(a)
     return None
 
 
-def _witness_report(mech: GridMechanism, messages: str, p_flat: int, a_flat: int):
-    """Lex-first feasible (pi, alpha) strictly improving on truth at (p, a)."""
-    n, k = mech.n_projects, mech.grid_resolution
-    grid = np.linspace(0.0, 1.0, k)
-    vals = lattice_points(n, k)
-    a_true = vals[a_flat]
-    truthful_value = a_true[mech.decisions[p_flat, a_flat]]
-    if messages == UNRESTRICTED:
-        feasible = itertools.product(range(k), repeat=n)
-    else:
-        p_multi = np.unravel_index(p_flat, (k,) * n)
-        feasible = itertools.product(*(range(i + 1) for i in p_multi))
-    for pi_multi in feasible:
-        pi_flat = int(np.ravel_multi_index(pi_multi, (k,) * n))
-        gains = a_true[mech.decisions[pi_flat]] > truthful_value
-        if gains.any():
-            al_flat = int(np.argmax(gains))
-            al_multi = np.unravel_index(al_flat, (k,) * n)
-            return Report(tuple(grid[list(pi_multi)]), tuple(grid[list(al_multi)]))
-    raise AssertionError("violation flagged but no improving report found")
+def _witness(gm: GridMechanism, reach, achievable, messages, p_flat, a_flat):
+    """(truth, report, gain); the report is the lex-first feasible one paying
+    the best achievable payoff, so replaying it earns exactly ``gain``."""
+    n, k = gm.n_projects, gm.grid_resolution
+    truth = ValueProfile(_point(p_flat, n, k), _point(a_flat, n, k))
+    payoff = np.asarray(truth.payoffs)
+    best = _best(achievable[p_flat], payoff)
+    targets = payoff == best
+    rows = (reach & targets).any(axis=1)
+    if messages == NO_OVERSELLING:
+        multis = _multi_indices(n, k)
+        rows &= (multis <= multis[p_flat]).all(axis=1)
+    pi_flat = int(np.argmax(rows))
+    al_flat = int(np.argmax(targets[gm.decisions[pi_flat]]))
+    gain = float(best - payoff[gm.decisions[p_flat, a_flat]])
+    report = Report(_point(pi_flat, n, k), _point(al_flat, n, k))
+    return truth, report, gain
 
 
 def audit_ic(
@@ -155,65 +155,47 @@ def audit_ic(
     (each against its full deviation set) and the report is marked
     non-exhaustive.  ``budget_pairs`` bounds the number of (truth, report)
     pairs the audit may cover; exceeding it raises AuditBudgetError.
+
+    A witness pairs the first violating truth (lex order, or draw order when
+    sampled) with the lex-first feasible report paying the best achievable
+    payoff, so replaying it gains exactly the stated amount.
     """
     gm = _as_grid_mechanism(mech)
     n, k = gm.n_projects, gm.grid_resolution
     size = k**n
-    vals = lattice_points(n, k)
-    grid = np.linspace(0.0, 1.0, k)
-
-    if sample_truths is None:
-        checked = _pair_count(gm, messages)
-        if budget_pairs is not None and checked > budget_pairs:
-            raise AuditBudgetError(
-                f"exhaustive audit covers {checked} pairs, budget is {budget_pairs}"
-            )
-        achievable = _achievable(gm, messages)
-        hit = _first_violation(gm.decisions, achievable, vals)
-        if hit is None:
-            return AuditReport(True, None, checked, True)
-        p_flat, a_flat, gain = hit
-        p_multi = np.unravel_index(p_flat, (k,) * n)
-        a_multi = np.unravel_index(a_flat, (k,) * n)
-        truth = ValueProfile(tuple(grid[list(p_multi)]), tuple(grid[list(a_multi)]))
-        report = _witness_report(gm, messages, p_flat, a_flat)
-        return AuditReport(False, (truth, report, gain), checked, True)
-
-    if sample_truths < 1:
-        raise ValueError("sample_truths must be positive")
-    rng = np.random.default_rng(seed)
-    p_flats = rng.integers(0, size, size=sample_truths)
-    a_flats = rng.integers(0, size, size=sample_truths)
-    per_p = _per_truth_pairs(gm, messages, p_flats)
-    checked = int(per_p.sum())
+    # (truth, report) pairs per truth profit point: every pi, or every pi <= p
+    pis = size if messages == UNRESTRICTED else (_multi_indices(n, k) + 1).prod(axis=1)
+    per_truth = np.broadcast_to(pis * size, (size,))
+    exhaustive = sample_truths is None
+    if exhaustive:
+        checked = int(per_truth.sum()) * size
+    else:
+        if sample_truths < 1:
+            raise ValueError("sample_truths must be positive")
+        rng = np.random.default_rng(seed)
+        p_flats = rng.integers(0, size, size=sample_truths)
+        a_flats = rng.integers(0, size, size=sample_truths)
+        checked = int(per_truth[p_flats].sum())
     if budget_pairs is not None and checked > budget_pairs:
+        kind = "exhaustive" if exhaustive else "sampled"
         raise AuditBudgetError(
-            f"sampled audit covers {checked} pairs, budget is {budget_pairs}"
+            f"{kind} audit covers {checked} pairs, budget is {budget_pairs}"
         )
-    achievable = _achievable(gm, messages)
-    for p_flat, a_flat in zip(p_flats, a_flats):
-        a_true = vals[a_flat]
-        truthful_value = a_true[gm.decisions[p_flat, a_flat]]
-        best = a_true[achievable[p_flat]].max()
-        if best > truthful_value:
-            p_multi = np.unravel_index(int(p_flat), (k,) * n)
-            a_multi = np.unravel_index(int(a_flat), (k,) * n)
-            truth = ValueProfile(
-                tuple(grid[list(p_multi)]), tuple(grid[list(a_multi)])
-            )
-            report = _witness_report(gm, messages, int(p_flat), int(a_flat))
-            return AuditReport(
-                False, (truth, report, float(best - truthful_value)), checked, False
-            )
-    return AuditReport(True, None, checked, False)
 
-
-def _per_truth_pairs(mech: GridMechanism, messages: str, p_flats) -> np.ndarray:
-    n, k = mech.n_projects, mech.grid_resolution
-    if messages == UNRESTRICTED:
-        return np.full(len(p_flats), (k**n) ** 2, dtype=np.int64)
-    multis = np.stack(np.unravel_index(p_flats, (k,) * n), axis=1)
-    return (multis + 1).prod(axis=1) * (k**n)
+    reach = _reach(gm)
+    achievable = _achievable(reach, k, messages)
+    vals = lattice_points(n, k)
+    if exhaustive:
+        hit = _first_violation(gm.decisions, achievable, vals)
+    else:
+        best = _best(achievable[p_flats], vals[a_flats])
+        truthful = vals[a_flats, gm.decisions[p_flats, a_flats]]
+        viol = np.flatnonzero(best > truthful)
+        hit = (int(p_flats[viol[0]]), int(a_flats[viol[0]])) if viol.size else None
+    if hit is None:
+        return AuditReport(True, None, checked, exhaustive)
+    witness = _witness(gm, reach, achievable, messages, *hit)
+    return AuditReport(False, witness, checked, exhaustive)
 
 
 def extract_table_structure(mech) -> ExtractionResult:
@@ -226,15 +208,9 @@ def extract_table_structure(mech) -> ExtractionResult:
     """
     gm = _as_grid_mechanism(mech)
     n, k = gm.n_projects, gm.grid_resolution
-    achievable = _achievable(gm, NO_OVERSELLING)
+    achievable = _achievable(_reach(gm), k, NO_OVERSELLING)
     table = TableMechanismGrid(achievable.reshape((k,) * n + (n,)))
-    vals = lattice_points(n, k)
-    hit = _first_violation(gm.decisions, achievable, vals)
+    hit = _first_violation(gm.decisions, achievable, lattice_points(n, k))
     if hit is None:
         return ExtractionResult(True, table, None)
-    p_flat, a_flat, _ = hit
-    grid = np.linspace(0.0, 1.0, k)
-    p_multi = np.unravel_index(p_flat, (k,) * n)
-    a_multi = np.unravel_index(a_flat, (k,) * n)
-    witness = ValueProfile(tuple(grid[list(p_multi)]), tuple(grid[list(a_multi)]))
-    return ExtractionResult(False, table, witness)
+    return ExtractionResult(False, table, ValueProfile(*(_point(f, n, k) for f in hit)))

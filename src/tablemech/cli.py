@@ -15,12 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
 from pathlib import Path
 
-from .analytic import BracketError, optimal_single_cutoff
+from .analytic import optimal_single_cutoff
 from .audit import audit_ic
 from .core import CutoffVector, cutoff_to_grid
 from .dynamics import dynamic_cutoffs, dynamic_profit
@@ -28,7 +26,7 @@ from .evaluation import GridMechanism
 from .montecarlo import DEFAULT_SEED, estimate_agent_payoff, estimate_eu
 from .regimes import no_verifiability_eu, transfers_eu
 from .search import best_table_mechanism_n2
-from .serialize import load_mechanism
+from .serialize import _write_atomic, load_mechanism
 
 __all__ = ["main"]
 
@@ -53,17 +51,8 @@ def _round12(obj):
 def _write_out(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-        return
-    path = Path(out)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    else:
+        _write_atomic(out, text)
 
 
 def _emit_json(obj, out) -> None:
@@ -96,17 +85,29 @@ def _load_config(path: str | None) -> dict:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _DEFAULTS:
             raise ValueError(f"unknown config key {key!r}")
-        cfg[key] = type(_DEFAULTS[key])(float(val)) if key != "tol" else float(val)
+        cfg[key] = float(val) if key == "tol" else _config_int(key, val)
     return cfg
+
+
+def _config_int(key: str, val: str) -> int:
+    """Exact integer value; an integral exponent form such as 1e5 also passes."""
+    try:
+        return int(val)
+    except ValueError:
+        if float(val).is_integer():
+            return int(float(val))
+    raise ValueError(f"config key {key!r} needs an integer, got {val!r}")
 
 
 def _resolve(args, key: str):
     """Flag beats config file beats builtin default."""
     flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    cfg = _load_config(getattr(args, "config", None))
-    return cfg.get(key, _DEFAULTS[key])
+    return args.config_values[key] if flag is None else flag
+
+
+def _static_profit(n: int, tol: float) -> float:
+    """Best single-cutoff profit; one project leaves only the default, worth 1/2."""
+    return optimal_single_cutoff(n, tol).expected_utility if n >= 2 else 0.5
 
 
 def _range(args) -> range:
@@ -153,13 +154,12 @@ def cmd_compare(args) -> int:
     tol = _resolve(args, "tol")
     rows = []
     for n in _range(args):
-        static = optimal_single_cutoff(n, tol).expected_utility if n >= 2 else 0.5
         rows.append(
             [
                 n,
                 no_verifiability_eu(n),
                 dynamic_profit(n),
-                static,
+                _static_profit(n, tol),
                 transfers_eu(n, samples, seed).principal.mean,
             ]
         )
@@ -173,7 +173,7 @@ def cmd_dynamics(args) -> int:
     tol = _resolve(args, "tol")
     rows = []
     for n in _range(args):
-        static = optimal_single_cutoff(n, tol).expected_utility if n >= 2 else 0.5
+        static = _static_profit(n, tol)
         rows.append([n, float(dynamic_cutoffs(n)[0]), dynamic_profit(n), static])
     _emit_rows(["n", "c1", "dynamic", "static"], rows, args.format, args.out)
     return 0
@@ -318,11 +318,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        args.config_values = {**_DEFAULTS, **_load_config(args.config)}
         return args.func(args)
-    except BracketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # malformed files, bad ranges, budget blowups
+    except Exception as exc:  # malformed files, bad ranges, bracket failures
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

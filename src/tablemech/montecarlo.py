@@ -71,6 +71,8 @@ def _chunk_stats(seed: int, index: int, count: int, n: int, value_fn):
     v = np.asarray(value_fn(u[:, :n], u[:, n:]), dtype=float)
     if v.shape != (count,):
         raise ValueError(f"value function returned shape {v.shape}, wanted ({count},)")
+    if not np.isfinite(v).all():
+        raise ValueError("value function returned a non-finite value")
     mean = float(v.mean())
     m2 = float(((v - mean) ** 2).sum())
     return count, mean, m2
@@ -97,8 +99,11 @@ def estimate_value(
 
     ``value_fn`` receives (samples, n) profit and payoff arrays and returns
     one value per sample; it must be a pure function for the determinism
-    contract to mean anything.
+    contract to mean anything.  ``seed`` keys the Philox streams and must lie
+    in [0, 2**64).
     """
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed {seed} outside [0, 2**64)")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     if n_projects < 1:

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .audit import UNRESTRICTED, audit_ic
+from .core import TableMechanismGrid
 from .evaluation import GridMechanism
 from .montecarlo import DEFAULT_SEED, EstimateWithError, estimate_value
 
@@ -93,13 +94,10 @@ def no_verifiability_eu(
 
 
 def menu_grid_mechanism(menu: Iterable[int], n: int, k: int) -> GridMechanism:
-    """The menu rule d(p, a) = favorite in the menu, tabulated on the grid."""
+    """The menu rule d(p, a) = favorite in the menu: a constant table, tabulated."""
     mask = _menu_mask(menu, n)
-
-    def rule(p, a):
-        return int(np.argmax(np.where(mask, a, -np.inf)))
-
-    return GridMechanism.from_callable(n, k, rule)
+    table = TableMechanismGrid(np.broadcast_to(mask, (k,) * n + (n,)))
+    return GridMechanism.from_table(table)
 
 
 def menu_mechanism_is_ic(menu: Iterable[int], n: int, k: int) -> bool:

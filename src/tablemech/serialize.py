@@ -17,6 +17,8 @@ doubles).
 from __future__ import annotations
 
 import json
+import os
+import secrets
 from pathlib import Path
 from typing import Union
 
@@ -99,8 +101,26 @@ def mechanism_from_dict(d: dict) -> Mechanism:
     raise ValueError(f"unknown mechanism kind {kind!r}")
 
 
+def _write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` by renaming a temp file over it, leaving the
+    permissions a plain write would: an existing file's mode, else 0o666 less umask."""
+    path = Path(path).resolve()  # through a symlink, as a plain write goes
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        if path.exists():
+            os.chmod(tmp, path.stat().st_mode & 0o7777)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_mechanism(mech: Mechanism, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(mechanism_to_dict(mech), indent=2) + "\n")
+    """Write the mechanism's JSON form atomically."""
+    _write_atomic(path, json.dumps(mechanism_to_dict(mech), indent=2) + "\n")
 
 
 def load_mechanism(path: str | Path) -> Mechanism:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from tablemech import (
     ValueProfile,
     audit_ic,
     extract_table_structure,
+    message_space,
+    message_space_size,
 )
 from tablemech.core import decide_table
 
@@ -164,3 +168,97 @@ def test_ic_iff_extraction_ok_on_grid_rules():
         assert ic == extract_table_structure(gm).ok
         verdicts.append(ic)
     assert any(verdicts) and not all(verdicts)  # both branches exercised
+
+
+def brute_force_audit(gm: GridMechanism, truths, unrestricted, replays):
+    """Oracle: (violating truth, its lex-first best-paying report, gain) or None.
+
+    Walks ``truths`` in order and every feasible report of each over
+    ``message_space``; the unrestricted message space is the one feasible at
+    the top profit point.  ``replays`` caches (reports, decisions) per
+    profit point, since neither depends on the true payoffs.
+    """
+    n, k = gm.n_projects, gm.grid_resolution
+    for truth in truths:
+        key = (1.0,) * n if unrestricted else truth.profits
+        if key not in replays:
+            msgs = list(message_space(ValueProfile(key, key), k))
+            replays[key] = msgs, [
+                gm.decide(r.reported_profits, r.reported_payoffs) for r in msgs
+            ]
+        msgs, chosen = replays[key]
+        honest = truth.payoffs[gm.decide(truth.profits, truth.payoffs)]
+        best = max(truth.payoffs[d] for d in chosen)
+        if best > honest:
+            first = next(r for r, d in zip(msgs, chosen) if truth.payoffs[d] == best)
+            return truth, first, best - honest
+    return None
+
+
+def lattice_profiles(n, k):
+    grid = np.linspace(0.0, 1.0, k)
+    pts = [tuple(grid[list(m)]) for m in itertools.product(range(k), repeat=n)]
+    return pts, [ValueProfile(p, a) for p in pts for a in pts]
+
+
+def random_rules():
+    rng = np.random.default_rng(2024)
+    cases = [(2, 2)] * 6 + [(2, 3)] * 6 + [(2, 4)] * 6 + [(3, 2)] * 6 + [(3, 3)] * 4
+    for i, (n, k) in enumerate(cases):
+        size = k**n
+        if i % 3 or n == k == 3:
+            yield GridMechanism(n, k, rng.integers(0, n, size=(size, size)))
+            continue
+        # a cutoff table with at most one decision flipped: IC about half the time
+        cuts = rng.integers(0, k, size=n - 1) / (k - 1)
+        dec = GridMechanism.from_cutoffs(CutoffVector(cuts), k).decisions.copy()
+        if rng.random() < 0.5:
+            r, c = rng.integers(0, size, size=2)
+            dec[r, c] = rng.integers(0, n)
+        yield GridMechanism(n, k, dec)
+
+
+def test_audit_matches_brute_force_over_message_space():
+    verdicts = set()
+    for i, gm in enumerate(random_rules()):
+        n, k = gm.n_projects, gm.grid_resolution
+        size = k**n
+        pts, truths = lattice_profiles(n, k)
+        for messages in ("no_overselling", "unrestricted"):
+            unrestricted = messages == "unrestricted"
+            per_truth = (
+                (lambda t: size * size)
+                if unrestricted
+                else (lambda t: message_space_size(t, k))
+            )
+            replays = {}
+            # exhaustive, then three sampled audits drawing 40 truths each
+            for seed in (None, i, i + 100, i + 200):
+                sample = None if seed is None else 40
+                if sample is None:
+                    rep = audit_ic(gm, messages=messages)
+                    drawn = truths
+                else:
+                    rep = audit_ic(
+                        gm, messages=messages, sample_truths=sample, seed=seed
+                    )
+                    rng = np.random.default_rng(seed)
+                    p_idx = rng.integers(0, size, size=sample)
+                    a_idx = rng.integers(0, size, size=sample)
+                    drawn = [ValueProfile(pts[p], pts[a]) for p, a in zip(p_idx, a_idx)]
+                assert rep.exhaustive == (sample is None)
+                assert rep.checked == sum(per_truth(t) for t in drawn)
+                expected = brute_force_audit(gm, drawn, unrestricted, replays)
+                verdicts.add(rep.verdict)
+                if expected is None:
+                    assert rep.verdict and rep.witness is None
+                    continue
+                assert not rep.verdict
+                truth, report, gain = rep.witness
+                assert (truth, report, gain) == expected
+                # the witness is feasible and replays to exactly its gain
+                assert unrestricted or report.feasible_given(truth)
+                d_true = gm.decide(truth.profits, truth.payoffs)
+                d_dev = gm.decide(report.reported_profits, report.reported_payoffs)
+                assert truth.payoffs[d_dev] - truth.payoffs[d_true] == gain
+    assert verdicts == {True, False}

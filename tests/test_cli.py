@@ -204,6 +204,39 @@ def test_config_rejects_unknown_keys(cutoff_file, tmp_path, capsys):
     assert "burgers" in err
 
 
+
+def test_config_rejects_non_integral_counts(cutoff_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    for line in ("samples = 2.7", "seed = 1.5", "grid = nan"):
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, "simulate", cutoff_file, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "needs an integer" in err
+    cfg.write_text("samples = 5e3\n")  # integral in exponent form is fine
+    code, out, _ = run(capsys, "simulate", cutoff_file, "--config", str(cfg))
+    assert code == 0 and json.loads(out)["n_samples"] == 5000
+
+
+def test_simulate_rejects_out_of_range_seed(cutoff_file, capsys):
+    code, out, err = run(capsys, "simulate", cutoff_file, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "seed" in err
+
+
+def test_out_file_replaced_atomically_with_plain_write_mode(tmp_path, capsys):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x")
+    out_path = tmp_path / "opt.json"
+    out_path.write_text("stale")
+    code, out, _ = run(capsys, "optimize", "--n", "2", "--out", str(out_path))
+    assert code == 0 and out == ""
+    assert json.loads(out_path.read_text())["n_projects"] == 2
+    assert out_path.stat().st_mode == plain.stat().st_mode
+    fresh = tmp_path / "fresh.json"
+    assert run(capsys, "optimize", "--n", "2", "--out", str(fresh))[0] == 0
+    assert fresh.stat().st_mode == plain.stat().st_mode
+    assert not list(tmp_path.glob("*.tmp"))
+
 def test_error_paths_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "audit", str(tmp_path / "missing.json"))
     assert code == 2 and "error:" in err

@@ -89,6 +89,28 @@ def test_estimate_validation():
         estimate_value(lambda p, a: p[:, 0], 0, 100)
 
 
+
+def test_seed_must_fit_the_philox_key():
+    # -1 and 2**64 - 1 would alias through the 64-bit key mask
+    fn = lambda p, a: p[:, 0]
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed"):
+            estimate_value(fn, 2, 100, seed=seed)
+    top = estimate_value(fn, 2, 100, seed=(1 << 64) - 1)
+    assert top.seed == (1 << 64) - 1
+    assert estimate_value(fn, 2, 100, seed=0).mean != top.mean
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_callback_values_rejected(bad):
+    def fn(p, a):
+        v = p[:, 0].copy()
+        v[3] = bad
+        return v
+
+    with pytest.raises(ValueError, match="non-finite"):
+        estimate_value(fn, 2, 100)
+
 def test_estimate_eu_single_cutoff_within_4_sigma():
     est = estimate_eu(CutoffVector([0.5]), n_samples=200_000, seed=31)
     assert abs(est.mean - 0.5625) <= 4 * est.std_error

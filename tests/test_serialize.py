@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -82,3 +83,31 @@ def test_loaded_table_revalidates():
 def test_unserializable_type_rejected():
     with pytest.raises(TypeError):
         mechanism_to_dict(object())
+
+
+def test_save_is_atomic_and_keeps_plain_write_permissions(tmp_path, monkeypatch):
+    plain = tmp_path / "plain.json"
+    plain.write_text("{}")
+    path = tmp_path / "mech.json"
+    save_mechanism(CutoffVector([0.5]), path)
+    assert path.stat().st_mode == plain.stat().st_mode
+    # an existing file is replaced whole and keeps its own mode, as with a plain write
+    os.chmod(path, 0o640)
+    save_mechanism(CutoffVector([0.25, 0.75]), path)
+    assert load_mechanism(path) == CutoffVector([0.25, 0.75])
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert not list(tmp_path.glob("*.tmp"))
+    # a symlinked path is written through, like a plain write, not replaced
+    link = tmp_path / "link.json"
+    link.symlink_to(path)
+    save_mechanism(CutoffVector([0.125]), link)
+    assert link.is_symlink() and load_mechanism(path) == CutoffVector([0.125])
+    # a write that fails before the rename leaves the old file and no temp file
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", broken_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_mechanism(CutoffVector([0.5]), path)
+    assert load_mechanism(path) == CutoffVector([0.125])
+    assert not list(tmp_path.glob("*.tmp"))
