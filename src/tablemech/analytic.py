@@ -9,14 +9,15 @@ and the optimal c solves phi_n(c) = 0 where
     phi_n(c) = n (1-c) (1 - c + c^n) - (1 - c^n).
 
 phi_n has a spurious root at c = 1; the finder brackets the interior root
-away from it and bisection does the rest.  Heterogeneous cutoffs are handled
-through decision probabilities built from elementary symmetric polynomials,
-evaluated by a normalized recurrence that stays inside [0,1] (no binomial
-blowup, stable past n = 200).
+away from it and bisection does the rest.  Heterogeneous cutoffs go through
+the decision probabilities P(default) = int_0^1 prod_j (c_j + (1-c_j) x) dx
+and P(i) = (1-c_i) int_0^1 x prod_{j!=i} (c_j + (1-c_j) x) dx: polynomials of
+degree <= n-1, which ceil(n/2) Gauss-Legendre nodes integrate exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,6 +68,11 @@ def phi(n: int, c: float) -> float:
         raise ValueError("phi needs n >= 2")
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"cutoff {c} outside [0, 1]")
+    return _phi(n, c)
+
+
+def _phi(n: int, c):
+    """phi_n without checks; elementwise on arrays."""
     cn = c**n
     return n * (1.0 - c) * (1.0 - c + cn) - (1.0 - cn)
 
@@ -74,20 +80,13 @@ def phi(n: int, c: float) -> float:
 def _geom_mean_factor(n: int, c: np.ndarray) -> np.ndarray:
     """(1 - c^n) / (n (1 - c)), a mean of the geometric sequence 1..c^{n-1}.
 
-    The removable singularity at c=1 (limit 1) is evaluated through
-    expm1/log1p once 1-c is below 1e-6, where the direct quotient starts
-    cancelling.
+    Taken as -expm1(n log c) / (n (1 - c)), which does not cancel as c -> 1;
+    exactly 1 at c = 1 and at n = 1, and log 0 = -inf gives 1/n at c = 0.
     """
     d = 1.0 - c
-    small = d < 1e-6
-    d_reg = np.where(small, 1.0, d)
-    g = (1.0 - c**n) / (n * d_reg)
-    if np.any(small):
-        pos = small & (d > 0)
-        d_pos = np.where(pos, d, 0.5)
-        g_small = -np.expm1(n * np.log1p(-d_pos)) / (n * d_pos)
-        g = np.where(small, np.where(pos, g_small, 1.0), g)
-    return g
+    with np.errstate(divide="ignore"):
+        g = -np.expm1(n * np.log(c)) / (n * np.where(d > 0, d, 1.0))
+    return np.where((d > 0) & (n > 1), g, 1.0)
 
 
 def single_cutoff_eu(n: int, c):
@@ -107,52 +106,59 @@ def single_cutoff_eu(n: int, c):
     return float(eu[0]) if scalar else eu
 
 
-def _normalized_esp(cuts: np.ndarray) -> np.ndarray:
-    """e_j(cuts)/C(m, j) for j=0..m, via a recurrence that stays in [0, 1]."""
-    m = cuts.shape[0]
-    e = np.zeros(m + 1)
-    e[0] = 1.0
-    for t in range(1, m + 1):
-        ct = cuts[t - 1]
-        for j in range(t, 0, -1):
-            e[j] = e[j] * (t - j) / t + ct * e[j - 1] * j / t
-    return e
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [0, 1], exact to degree 2q - 1, as (1 - x, w).
+
+    Newton on the Legendre recurrence, weights 2 / ((1 - t^2) P_q'(t)^2) at
+    the converged nodes (numpy's leggauss renormalizes them, losing 1e-11).
+    """
+    t = np.cos(np.pi * (np.arange(1, q + 1) - 0.25) / (q + 0.5))
+    step = np.ones(q)
+    while True:
+        p_prev, p = np.ones(q), t
+        for j in range(2, q + 1):
+            p_prev, p = p, ((2 * j - 1) * t * p - (j - 1) * p_prev) / j
+        dp = q * (t * p - p_prev) / (t * t - 1.0)
+        if np.max(np.abs(step)) < 1e-14:  # the step just taken converged t
+            break
+        step = p / dp
+        t = t - step
+    u, w = (1.0 - t) / 2.0, 1.0 / ((1.0 - t * t) * dp * dp)
+    for shared in (u, w):  # cached, so every caller sees these arrays
+        shared.setflags(write=False)
+    return u, w
+
+
+def _choice_probs(cs: np.ndarray) -> np.ndarray:
+    """Decision probabilities, (B, n), for a (B, n-1) stack of cutoff vectors.
+
+    Factors are formed as 1 - (1 - c_j)(1 - x), one rounding near x = 1 where
+    the integrands peak; leave-one-out products are prefix times suffix.
+    """
+    u, w = _gauss_legendre(cs.shape[1] // 2 + 1)
+    f = 1.0 - (1.0 - cs[:, :, None]) * u
+    ones = np.ones((cs.shape[0], 1, u.size))
+    pre = np.cumprod(np.concatenate([ones, f], axis=1), axis=1)
+    suf = np.cumprod(np.concatenate([ones, f[:, ::-1]], axis=1), axis=1)[:, ::-1]
+    chosen = (1.0 - cs) * (pre[:, :-1] * suf[:, 1:] * (w * (1.0 - u))).sum(axis=-1)
+    return np.concatenate([chosen, (pre[:, -1] * w).sum(axis=-1)[:, None]], axis=1)
+
+
+def _choice_eu(cs: np.ndarray) -> np.ndarray:
+    """Expected profit per row; a chosen p_i is uniform above c_i."""
+    probs = _choice_probs(cs)
+    return probs[:, -1] / 2.0 + (probs[:, :-1] * (1.0 + cs) / 2.0).sum(axis=-1)
 
 
 def prob_decision(cutoffs: CutoffVector) -> np.ndarray:
-    """Probability each project is chosen, under uniform values.
-
-    P(default) is the mean of the normalized elementary symmetric polynomials
-    of the cutoffs; P(project i) follows from conditioning on p_i clearing
-    its bar: (1 - c_i) times P(default) with c_i zeroed out.
-    """
-    cs = cutoffs.cutoffs
-    n = cutoffs.n_projects
-    probs = np.empty(n)
-    probs[n - 1] = _normalized_esp(cs).mean()
-    for i in range(n - 1):
-        dropped = cs.copy()
-        dropped[i] = 0.0
-        probs[i] = (1.0 - cs[i]) * _normalized_esp(dropped).mean()
-    return probs
+    """Probability each project is chosen, under uniform values."""
+    return _choice_probs(cutoffs.cutoffs[None, :])[0]
 
 
 def multi_cutoff_eu(cutoffs: CutoffVector) -> float:
-    """Expected principal profit of an arbitrary cutoff vector.
-
-    Conditional on project i being chosen, p_i is uniform above c_i with
-    mean (1 + c_i)/2; weight by the decision probabilities.
-    """
-    probs = prob_decision(cutoffs)
-    full = cutoffs.full_cutoffs
-    return float((((1.0 + full) / 2.0) * probs).sum())
-
-
-def _scan_sign_changes(n: int, hi: float, points: int = 33) -> int:
-    cs = np.linspace(0.0, hi, points)
-    signs = np.sign([phi(n, float(c)) for c in cs])
-    signs = signs[signs != 0]
-    return int((signs[1:] != signs[:-1]).sum())
+    """Expected principal profit of an arbitrary cutoff vector."""
+    return float(_choice_eu(cutoffs.cutoffs[None, :])[0])
 
 
 def optimal_single_cutoff(n: int, tol: float = 1e-12) -> OptimalCutoffResult:
@@ -177,17 +183,15 @@ def optimal_single_cutoff(n: int, tol: float = 1e-12) -> OptimalCutoffResult:
     hi = 1.0 - 1.0 / (8.0 * n)
     f_hi = phi(n, hi)
     j = 1
-    while f_hi >= 0.0:
-        if f_hi == 0.0:
-            break
+    while f_hi > 0.0:
         hi = 1.0 - 2.0**-j / n
         if hi >= 1.0:
             raise BracketError(f"no sign change of phi_{n} found left of c=1")
         f_hi = phi(n, hi)
         j += 1
-        if j > 60:
-            raise BracketError(f"no sign change of phi_{n} found left of c=1")
-    if _scan_sign_changes(n, hi) > 1:
+    signs = np.sign(_phi(n, np.linspace(0.0, hi, 33)))
+    signs = signs[signs != 0]
+    if (signs[1:] != signs[:-1]).sum() > 1:
         raise NonUniqueRootError(f"multiple phi_{n} sign changes on [0, {hi}]")
     if f_hi == 0.0:
         root = hi
@@ -234,37 +238,33 @@ def symmetry_in_perturbation(
         raise ValueError(f"positions must be distinct in 1..{n - 1}")
     if not (0.0 <= base + t <= 1.0 and 0.0 <= base - t <= 1.0):
         raise ValueError("base +/- t leaves [0, 1]")
-    plus = np.full(n - 1, base)
-    plus[i - 1] = base + t
-    plus[j - 1] = base - t
-    minus = np.full(n - 1, base)
-    minus[i - 1] = base - t
-    minus[j - 1] = base + t
-    return (
-        multi_cutoff_eu(CutoffVector(plus)),
-        multi_cutoff_eu(CutoffVector(minus)),
-    )
+    rows = np.full((2, n - 1), base)
+    rows[0, i - 1] = rows[1, j - 1] = base + t
+    rows[0, j - 1] = rows[1, i - 1] = base - t
+    return tuple(_choice_eu(rows).tolist())
+
+
+_SCAN_CHUNK = 4096
 
 
 def heterogeneous_cutoff_scan(n: int, m: int) -> tuple[float, np.ndarray]:
     """Best EU over the full m^(n-1) lattice of heterogeneous cutoff vectors.
 
     Evidence for single-cutoff optimality beyond n=2: the lattice maximum
-    never beats the optimal common cutoff.  Returns (best EU, best vector).
-    Cost grows as m^(n-1); meant for small n.
+    never beats the optimal common cutoff.  Returns (best EU, first best
+    vector in lattice order); scans _SCAN_CHUNK vectors at a time, small n.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if m < 2:
         raise ValueError("need at least 2 grid points")
     grid = np.linspace(0.0, 1.0, m)
-    best = -math.inf
-    best_cuts = None
-    for flat in range(m ** (n - 1)):
-        multi = np.unravel_index(flat, (m,) * (n - 1))
-        cuts = grid[list(multi)]
-        eu = multi_cutoff_eu(CutoffVector(cuts))
-        if eu > best:
-            best = eu
-            best_cuts = cuts
+    best, best_cuts = -math.inf, None
+    for start in range(0, m ** (n - 1), _SCAN_CHUNK):
+        flat = np.arange(start, min(start + _SCAN_CHUNK, m ** (n - 1)))
+        cuts = grid[np.stack(np.unravel_index(flat, (m,) * (n - 1)), axis=1)]
+        eu = _choice_eu(cuts)
+        top = int(np.argmax(eu))
+        if eu[top] > best:
+            best, best_cuts = float(eu[top]), cuts[top].copy()
     return best, best_cuts

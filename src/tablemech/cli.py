@@ -174,7 +174,8 @@ def cmd_dynamics(args) -> int:
     rows = []
     for n in _range(args):
         static = _static_profit(n, tol)
-        rows.append([n, float(dynamic_cutoffs(n)[0]), dynamic_profit(n), static])
+        ladder = dynamic_cutoffs(n + 1)  # [0] is the profit, as in dynamic_profit
+        rows.append([n, float(ladder[1]), float(ladder[0]), static])
     _emit_rows(["n", "c1", "dynamic", "static"], rows, args.format, args.out)
     return 0
 

@@ -38,8 +38,8 @@ class GridError(ValueError):
 
 
 def _check_unit(values: Sequence[float], what: str) -> None:
-    if any(v < 0.0 or v > 1.0 for v in values):
-        raise ValueError(f"{what} {tuple(values)!r} outside [0, 1]")
+    if not all(0.0 <= v <= 1.0 for v in values):  # NaN fails too
+        raise ValueError(f"{what} {tuple(values)!r} not all finite and in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -296,8 +296,8 @@ class CutoffVector:
         c = np.asarray(cutoffs, dtype=float)
         if c.ndim != 1:
             raise ValueError("cutoffs must be a 1-d sequence")
-        if c.size and (np.any(c < 0.0) or np.any(c > 1.0)):
-            raise ValueError(f"cutoffs {cutoffs!r} outside [0, 1]")
+        if not np.all((c >= 0.0) & (c <= 1.0)):  # NaN fails too
+            raise ValueError(f"cutoffs {cutoffs!r} not all finite and in [0, 1]")
         self._c = c
         self._c.setflags(write=False)
 

@@ -35,11 +35,10 @@ def dynamic_cutoffs(n: int) -> np.ndarray:
 def dynamic_profit(n: int) -> float:
     """Principal's expected profit from the sequential rule.
 
-    Evaluates (1/2)(1 - c1^3 + 3 c1^2 - c1) at the first cutoff, which is
-    algebraically one more application of the recursion.
+    The value of facing n projects is the continuation value one step before
+    the first, i.e. the first cutoff of an (n+1)-project ladder.
     """
-    c1 = float(dynamic_cutoffs(n)[0])
-    return 0.5 * (1.0 - c1**3 + 3.0 * c1**2 - c1)
+    return float(dynamic_cutoffs(n + 1)[0])
 
 
 def sequential_profit_estimate(

@@ -82,7 +82,10 @@ def mechanism_from_dict(d: dict) -> Mechanism:
             )
         return cv
     if kind == "table":
-        per_project = np.asarray(d["indicators"], dtype=bool)
+        raw = np.asarray(d["indicators"])
+        if not np.isin(raw, (0, 1)).all():  # bool() would read NaN or 0.5 as on
+            raise ValueError("table indicators must all be 0/1 or true/false")
+        per_project = raw.astype(bool)
         tab = TableMechanismGrid(np.moveaxis(per_project, 0, -1))
         if "n_projects" in d and tab.n_projects != d["n_projects"]:
             raise ValueError(

@@ -19,6 +19,7 @@ from tablemech import (
     single_cutoff_eu,
     symmetry_in_perturbation,
 )
+from tablemech.analytic import _SCAN_CHUNK, _gauss_legendre
 
 # independent closed forms, derived by hand from the uniform model:
 #   n=2: EU(c) = 1/2 + c(1-c)/4, maximized at c = 1/2 with value 9/16
@@ -240,3 +241,101 @@ def test_heterogeneous_scan_never_beats_common_cutoff():
         # and the scan is a genuine lattice max: beats the snapped optimum
         snapped = round(opt.cutoff * 20) / 20
         assert best >= multi_cutoff_eu(CutoffVector.single(n, snapped)) - 1e-12
+
+
+# --- the quadrature kernel against the recurrence it replaced -------------
+
+
+def normalized_esp(cuts):
+    """e_j(row)/C(m, j) for j=0..m and each row of cuts, by the recurrence
+    e_j <- e_j (t-j)/t + c_t e_{j-1} j/t, which stays in [0, 1]."""
+    rows, m = cuts.shape
+    e = np.zeros((rows, m + 1))
+    e[:, 0] = 1.0
+    for t in range(1, m + 1):
+        j = np.arange(1, t + 1)
+        keep = e[:, 1 : t + 1] * (t - j) / t
+        e[:, 1 : t + 1] = keep + cuts[:, t - 1 : t] * e[:, :t] * j / t
+    return e
+
+
+def recurrence_probs(cuts):
+    """P(default) is the mean of the normalized symmetric polynomials;
+    P(i) is (1 - c_i) times that mean with c_i zeroed out."""
+    cuts = np.asarray(cuts, dtype=float)
+    m = len(cuts)
+    rows = np.tile(cuts, (m + 1, 1))
+    rows[np.arange(m), np.arange(m)] = 0.0  # row i drops c_i; the last keeps all
+    means = normalized_esp(rows).mean(axis=1)
+    return np.append((1.0 - cuts) * means[:m], means[m])
+
+
+def oracle_cases(n, rng):
+    m = n - 1
+    yield rng.uniform(0.0, 1.0, m)
+    yield rng.integers(0, 65, size=m) / 64.0  # dyadic: exact in binary
+    yield rng.choice([0.0, 1.0], size=m)
+    yield np.where(rng.random(m) < 0.5, rng.choice([0.0, 1.0], size=m), rng.random(m))
+
+
+def test_prob_decision_matches_recurrence_oracle():
+    rng = np.random.default_rng(2024)
+    assert np.array_equal(prob_decision(CutoffVector([])), [1.0])
+    for n in list(range(1, 41)) + [60, 100, 150, 200]:
+        for cuts in oracle_cases(n, rng):
+            got = prob_decision(CutoffVector(cuts))
+            want = recurrence_probs(cuts)
+            assert np.max(np.abs(got - want)) <= 1e-14, (n, cuts)
+
+
+def test_gauss_legendre_rule_is_exact_on_monomials():
+    for q in list(range(1, 41)) + [64, 100, 128, 200, 256, 333, 500]:
+        u, w = _gauss_legendre(q)
+        assert u.shape == w.shape == (q,)
+        assert np.all((u > 0) & (u < 1) & (w > 0))
+        j = np.arange(2 * q)
+        got = ((1.0 - u)[None, :] ** j[:, None] * w).sum(axis=1)
+        exact = 1.0 / (j + 1)
+        assert np.max(np.abs(got - exact)) <= 2e-15, q
+        assert np.max(np.abs(got / exact - 1.0)) <= 1e-12, q
+
+
+def test_multi_cutoff_eu_matches_single_formula_to_rounding():
+    cs = [0.0, 0.05, 0.2375, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999999, 1.0 - 2**-30, 1.0]
+    for n in range(2, 201):
+        for c in cs:
+            got = multi_cutoff_eu(CutoffVector.single(n, c))
+            assert abs(got - single_cutoff_eu(n, c)) <= 2e-14, (n, c)
+    for c in cs:
+        got = multi_cutoff_eu(CutoffVector.single(1000, c))
+        assert abs(got - single_cutoff_eu(1000, c)) <= 1e-13, c
+
+
+def test_single_cutoff_eu_exact_near_one():
+    # exact rational values at dyadic cutoffs approaching the removable
+    # singularity at c = 1, where a direct quotient cancels
+    from fractions import Fraction
+
+    for n in (2, 3, 7, 50):
+        for k in range(1, 45):
+            c = Fraction(2**k - 1, 2**k)
+            g = (1 - c**n) / (n * (1 - c))
+            exact = Fraction(1, 2) + c / 2 * (1 - g)
+            assert abs(single_cutoff_eu(n, float(c)) - float(exact)) <= 2.3e-16, (n, k)
+
+
+@pytest.mark.parametrize(
+    "n,m", [(2, 2), (2, 21), (3, 2), (3, 13), (3, 21), (4, 5), (4, 21)]
+)
+def test_heterogeneous_scan_matches_per_vector_loop(n, m):
+    grid = np.linspace(0.0, 1.0, m)
+    best, best_cuts = -math.inf, None
+    for cuts in itertools.product(grid, repeat=n - 1):  # lattice order
+        eu = multi_cutoff_eu(CutoffVector(cuts))
+        if eu > best:
+            best, best_cuts = eu, np.array(cuts)
+    got, got_cuts = heterogeneous_cutoff_scan(n, m)
+    assert got == best
+    assert np.array_equal(got_cuts, best_cuts)
+    if (n, m) == (4, 21):
+        assert m ** (n - 1) > 2 * _SCAN_CHUNK  # spans three chunks

@@ -223,6 +223,16 @@ def test_simulate_rejects_out_of_range_seed(cutoff_file, capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("argv", [["simulate"], ["audit", "--grid", "5"]])
+def test_nan_cutoff_file_exits_2(tmp_path, capsys, argv):
+    # Python's json accepts the bare NaN token, so the check must be ours
+    path = tmp_path / "nan.json"
+    path.write_text('{"kind": "cutoff", "n_projects": 2, "cutoffs": [NaN]}')
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
 def test_out_file_replaced_atomically_with_plain_write_mode(tmp_path, capsys):
     plain = tmp_path / "plain.txt"
     plain.write_text("x")

@@ -30,6 +30,20 @@ def test_value_profile_validation():
         ValueProfile((0.5, 0.0), (0.0, -0.1))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_values_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ValueProfile((bad, 0.5), (0.5, 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        ValueProfile((0.5, 0.5), (0.5, bad))
+    with pytest.raises(ValueError, match="finite"):
+        Report((0.5, bad), (0.5, 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        Report((0.5, 0.5), (bad, 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        CutoffVector([bad, 0.5])
+
+
 def test_report_feasibility_is_no_overselling():
     truth = ValueProfile((0.5, 1.0), (0.2, 0.8))
     assert Report((0.5, 1.0), (0.0, 0.0)).feasible_given(truth)

@@ -80,6 +80,16 @@ def test_loaded_table_revalidates():
         mechanism_from_dict({"kind": "table", "indicators": [f0, f1]})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), 0.5, 2])
+def test_table_indicators_must_be_zero_or_one(bad):
+    f1 = [[1, 1], [1, 1]]
+    with pytest.raises(ValueError, match="0/1"):
+        mechanism_from_dict({"kind": "table", "indicators": [[[bad, 1], [1, 1]], f1]})
+    f0 = [[False, 1], [1, True]]
+    ok = mechanism_from_dict({"kind": "table", "indicators": [f0, f1]})
+    assert ok.indicators[..., 0].tolist() == [[False, True], [True, True]]
+
+
 def test_unserializable_type_rejected():
     with pytest.raises(TypeError):
         mechanism_to_dict(object())
