@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AuditReport, TableMechanismGrid, ValueProfile, Report
-from .evaluation import GridMechanism, lattice_points
+from .evaluation import _BLOCK_CELLS, GridMechanism, lattice_points
 
 __all__ = [
     "AuditBudgetError",
@@ -36,9 +36,6 @@ __all__ = [
 
 NO_OVERSELLING = "no_overselling"
 UNRESTRICTED = "unrestricted"
-
-# cap on the scratch block, in float64 cells
-_BLOCK_CELLS = 1 << 22
 
 
 class AuditBudgetError(RuntimeError):
@@ -104,20 +101,41 @@ def _best(achievable_rows: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
     return np.where(achievable_rows, payoffs, -np.inf).max(axis=-1)
 
 
+def _honest_bits(sets: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """uint16 (S, A): bit i of [s, a] is set iff project i pays payoff point a
+    at least the best over achievable set s, i.e. deciding i is truthful-optimal."""
+    (n_sets, n), size = sets.shape, vals.shape[0]
+    weights = (1 << np.arange(n)).astype(np.uint16)
+    honest = np.empty((n_sets, size), dtype=np.uint16)
+    chunk = max(1, _BLOCK_CELLS // (size * n))
+    for start in range(0, n_sets, chunk):
+        best = _best(sets[start : start + chunk, None, :], vals)  # (C, A)
+        top = vals >= best[..., None]  # (C, A, n)
+        honest[start : start + chunk] = np.where(top, weights, 0).sum(
+            axis=-1, dtype=np.uint16
+        )
+    return honest
+
+
 def _first_violation(dec, achievable, vals):
-    """Lex-first (p_flat, a_flat) with a strict achievable improvement."""
-    size, n = achievable.shape
-    block = max(1, _BLOCK_CELLS // (vals.shape[0] * n))
-    cols = np.arange(vals.shape[0])[None, :]
+    """Lex-first (p_flat, a_flat) with a strict achievable improvement.
+
+    Truths sharing an achievable set share a row of the honest-bits table, so
+    the table is built once per distinct set and gathered in row blocks.
+    """
+    sets, which = np.unique(achievable, axis=0, return_inverse=True)
+    honest = _honest_bits(sets, vals)
+    which = which.reshape(-1)
+    codes = dec.view(np.uint8)  # entries are 0..n-1 < 16: valid shift counts
+    size = dec.shape[0]
+    block = max(1, _BLOCK_CELLS // dec.shape[1])
     for start in range(0, size, block):
-        rows = np.arange(start, min(start + block, size))
-        best = _best(achievable[rows][:, None, :], vals[None, :, :])  # (B, A)
-        # truthful[b, a] = vals[a, dec[p_b, a]]: agent's payoff when honest
-        truthful = vals[cols, dec[rows]]
-        viol = best > truthful
-        if viol.any():
-            b, a = np.argwhere(viol)[0]
-            return int(rows[b]), int(a)
+        stop = min(start + block, size)
+        viol = ((honest[which[start:stop]] >> codes[start:stop]) & 1) == 0
+        first = int(viol.argmax())  # first True in C order; 0 when there is none
+        if viol.flat[first]:
+            b, a = divmod(first, viol.shape[1])
+            return start + b, a
     return None
 
 

@@ -13,6 +13,7 @@ compatible; 2 for any error (bad flags, malformed files, bracket failure).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -246,7 +247,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="tablemech",
         description="Project-selection mechanisms: optimize, audit, compare.",

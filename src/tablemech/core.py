@@ -32,6 +32,10 @@ __all__ = [
     "cutoff_to_grid",
 ]
 
+# one tolerance for "at most / equal to a lattice value": snapping a value to
+# the grid and the no-overselling check accept the same slack
+_LATTICE_ATOL = 1e-9
+
 
 class GridError(ValueError):
     """A value that should lie on the grid lattice does not."""
@@ -74,7 +78,8 @@ class Report:
     """What the agent claims.
 
     ``feasible_given(truth)`` is the no-overselling check: every claimed
-    profit is at most the true one.  Claimed payoffs are never constrained
+    profit is at most the true one, up to the 1e-9 slack that snapping to the
+    grid allows.  Claimed payoffs are never constrained
     (beyond living in [0, 1] like everything else).
     """
 
@@ -103,7 +108,9 @@ class Report:
     def feasible_given(self, truth: ValueProfile) -> bool:
         if self.n_projects != truth.n_projects:
             return False
-        return all(r <= t + 1e-12 for r, t in zip(self.reported_profits, truth.profits))
+        return all(
+            r <= t + _LATTICE_ATOL for r, t in zip(self.reported_profits, truth.profits)
+        )
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,7 @@ def _as_index_array(values: Sequence[float], k: int, what: str) -> np.ndarray:
     idx = np.rint(v * (k - 1)).astype(np.int64)
     if np.any(idx < 0) or np.any(idx > k - 1):
         raise GridError(f"{what} {values!r} outside [0, 1]")
-    if not np.allclose(idx / (k - 1), v, rtol=0.0, atol=1e-9):
+    if not np.allclose(idx / (k - 1), v, rtol=0.0, atol=_LATTICE_ATOL):
         raise GridError(f"{what} {values!r} not on the {k}-point grid")
     return idx
 

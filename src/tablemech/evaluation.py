@@ -36,13 +36,20 @@ __all__ = [
     "export_decisions_csv",
 ]
 
+# cap on the cells of any one scratch array in a blocked pass (per-set tables
+# here and in the auditor, the auditor's scan blocks)
+_BLOCK_CELLS = 1 << 18
+
 
 class GridMechanism:
     """Dense decision rule on the joint (profit x payoff) lattice.
 
-    ``decisions`` has shape (k^n, k^n): rows are flattened profit points,
-    columns flattened payoff points, both in C order over the n axes; entries
-    are project indices in 0..n-1.
+    ``decisions`` has shape (k^n, k^n) and dtype int8: rows are flattened
+    profit points, columns flattened payoff points, both in C order over the n
+    axes; entries are project indices in 0..n-1 (the cell guard caps n at 12
+    for k >= 2, so int8 always fits).  The constructor copies its input into
+    a private read-only array: later writes to the caller's array, or to a
+    base it views, do not reach the mechanism.
     """
 
     _MAX_CELLS = 20_000_000
@@ -57,7 +64,7 @@ class GridMechanism:
             raise ValueError(
                 f"dense decision array with {size}^2 cells exceeds the memory guard"
             )
-        d = np.ascontiguousarray(decisions)
+        d = np.asarray(decisions)
         if d.shape != (size, size):
             raise ValueError(
                 f"decisions shape {d.shape} != ({size}, {size}) for "
@@ -65,11 +72,11 @@ class GridMechanism:
             )
         if not np.issubdtype(d.dtype, np.integer):
             raise ValueError("decisions must be integers")
-        if np.any(d < 0) or np.any(d >= n_projects):
+        if d.min() < 0 or d.max() >= n_projects:
             raise ValueError(f"decision values must lie in 0..{n_projects - 1}")
         self.n_projects = n_projects
         self.grid_resolution = grid_resolution
-        self._dec = d.astype(np.int64, copy=False)
+        self._dec = d.astype(np.int8, order="C")  # always a fresh copy
         self._dec.setflags(write=False)
 
     # -- construction ---------------------------------------------------------
@@ -93,16 +100,25 @@ class GridMechanism:
 
     @classmethod
     def from_table(cls, table: TableMechanismGrid) -> "GridMechanism":
-        """The table's argmax rule, tabulated (lowest index wins payoff ties)."""
+        """The table's argmax rule, tabulated (lowest index wins payoff ties).
+
+        Profit points sharing an on-table set share a decision row, so one
+        argmax row is computed per distinct set and gathered to every point.
+        """
         n, k = table.n_projects, table.grid_resolution
         size = k**n
-        masks = table.indicators.reshape(size, n)
+        sets, which = np.unique(
+            table.indicators.reshape(size, n), axis=0, return_inverse=True
+        )
         vals = lattice_points(n, k)
-        # rows: profit points; for each, argmax of payoffs over the mask
-        dec = np.empty((size, size), dtype=np.int64)
-        for r in range(size):
-            dec[r] = np.argmax(np.where(masks[r], vals, -np.inf), axis=1)
-        return cls(n, k, dec)
+        rows = np.empty((len(sets), size), dtype=np.int8)
+        chunk = max(1, _BLOCK_CELLS // (size * n))
+        for start in range(0, len(sets), chunk):
+            masks = sets[start : start + chunk, None, :]
+            rows[start : start + chunk] = np.argmax(
+                np.where(masks, vals, -np.inf), axis=2
+            )
+        return cls(n, k, rows[which.reshape(-1)])
 
     @classmethod
     def from_cutoffs(cls, cutoffs: CutoffVector, k: int) -> "GridMechanism":

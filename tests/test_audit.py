@@ -262,3 +262,97 @@ def test_audit_matches_brute_force_over_message_space():
                 d_dev = gm.decide(report.reported_profits, report.reported_payoffs)
                 assert truth.payoffs[d_dev] - truth.payoffs[d_true] == gain
     assert verdicts == {True, False}
+
+
+def first_violation_float_blocks(dec, achievable, vals):
+    """Oracle: the float64 block scan that the per-set honest tables replaced."""
+    size, n = achievable.shape
+    block = max(1, (1 << 22) // (vals.shape[0] * n))
+    cols = np.arange(vals.shape[0])[None, :]
+    for start in range(0, size, block):
+        rows = np.arange(start, min(start + block, size))
+        best = np.where(achievable[rows][:, None, :], vals[None], -np.inf).max(axis=-1)
+        # truthful[b, a] = vals[a, dec[p_b, a]]: agent's payoff when honest
+        truthful = vals[cols, dec[rows]]
+        viol = best > truthful
+        if viol.any():
+            b, a = np.argwhere(viol)[0]
+            return int(rows[b]), int(a)
+    return None
+
+
+def picks_within_table(rng, table):
+    """A rule deciding a random on-table project at every (profit, payoff) pair."""
+    n, k = table.n_projects, table.grid_resolution
+    size = k**n
+    masks = table.indicators.reshape(size, 1, n)
+    scores = np.where(masks, rng.random((size, size, n)), -1.0)
+    return GridMechanism(n, k, scores.argmax(axis=2))
+
+
+def fast_path_rules():
+    """Random, cutoff, flipped-cutoff and picks-within-table rules at n <= 4."""
+    rng = np.random.default_rng(4242)
+    for n, k in [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]:
+        size = k**n
+        for _ in range(3):
+            yield GridMechanism(n, k, rng.integers(0, n, size=(size, size)))
+            cut = CutoffVector(rng.uniform(0.05, 0.95, n - 1))
+            gm = GridMechanism.from_cutoffs(cut, k)
+            yield gm
+            dec = gm.decisions.copy()
+            for _ in range(int(rng.integers(1, 4))):
+                r, c = rng.integers(0, size, size=2)
+                dec[r, c] = rng.integers(0, n)
+            yield GridMechanism(n, k, dec)
+            yield picks_within_table(rng, TableMechanismGrid.from_cutoffs(cut, k))
+
+
+@pytest.mark.parametrize("block_cells", [None, 24])
+def test_first_violation_matches_float_block_oracle(block_cells, monkeypatch):
+    from tablemech import audit as audit_mod
+    from tablemech.evaluation import lattice_points
+
+    if block_cells is not None:  # many set chunks and scan blocks of a row or less
+        monkeypatch.setattr(audit_mod, "_BLOCK_CELLS", block_cells)
+    hits = set()
+    for gm in fast_path_rules():
+        n, k = gm.n_projects, gm.grid_resolution
+        assert gm.decisions.dtype == np.int8
+        vals = lattice_points(n, k)
+        reach = audit_mod._reach(gm)
+        for messages in ("no_overselling", "unrestricted"):
+            achievable = audit_mod._achievable(reach, k, messages)
+            got = audit_mod._first_violation(gm.decisions, achievable, vals)
+            assert got == first_violation_float_blocks(gm.decisions, achievable, vals)
+            hits.add(got is None)
+    assert hits == {True, False}
+
+
+def test_many_achievable_sets_match_oracle_in_bounded_memory():
+    # n=10, k=2: project i is on iff p_i = 1 (the last always), so the
+    # achievable sets are 512 distinct subsets.  One unchunked float64
+    # (sets x payoffs x projects) table alone would take 512*1024*10*8 B = 42 MB.
+    import tracemalloc
+
+    from tablemech import audit as audit_mod
+    from tablemech.evaluation import lattice_points
+
+    n, k = 10, 2
+    tab = TableMechanismGrid.from_cutoffs(CutoffVector([1.0] * (n - 1)), k)
+    ic = GridMechanism.from_table(tab)
+    picks = picks_within_table(np.random.default_rng(10), tab)
+    vals = lattice_points(n, k)
+    for gm, verdict in ((ic, True), (picks, False)):
+        achievable = audit_mod._achievable(audit_mod._reach(gm), k, "no_overselling")
+        assert len(np.unique(achievable, axis=0)) == 512
+        expected = first_violation_float_blocks(gm.decisions, achievable, vals)
+        assert audit_mod._first_violation(gm.decisions, achievable, vals) == expected
+        tracemalloc.start()
+        try:
+            report = audit_ic(gm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict is verdict
+        assert peak < 16 * 2**20, f"audit scratch peaked at {peak / 2**20:.1f} MiB"

@@ -275,6 +275,34 @@ def test_shipped_example_mechanisms(capsys):
     assert json.loads(out)["witness"]["gain"] > 0
 
 
+def test_parser_reused_across_calls_and_after_parse_errors(capsys):
+    from tablemech import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    runs = [
+        ["optimize", "--n", "7"],
+        ["sweep", "--n-min", "2", "--n-max", "4"],
+        ["dynamics", "--n-min", "1", "--n-max", "3", "--format", "json"],
+        ["compare", "--n-min", "1", "--n-max", "2", "--samples", "500"],
+    ]
+    before = [run(capsys, *argv) for argv in runs]
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    assert help_text.startswith("usage: tablemech")
+    for bad in (["optimize"], ["optimize", "--n", "x"], ["frobnicate"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert "usage: tablemech" in capsys.readouterr().err
+    after = [run(capsys, *argv) for argv in reversed(runs)][::-1]
+    assert after == before
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert capsys.readouterr().out == help_text
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tablemech", "optimize", "--n", "2"],

@@ -53,6 +53,20 @@ def test_report_feasibility_is_no_overselling():
     assert not Report((0.5,), (0.0,)).feasible_given(truth)
 
 
+def test_feasibility_slack_matches_grid_snapping():
+    # 5e-10 above the truth snaps to the same grid point, so it is no oversell
+    from tablemech.core import _as_index_array
+
+    truth = ValueProfile((0.5, 0.25), (0.2, 0.8))
+    close = Report((0.5 + 5e-10, 0.25), (0.0, 0.0))
+    assert np.array_equal(
+        _as_index_array(close.reported_profits, 5, "report"),
+        _as_index_array(truth.profits, 5, "truth"),
+    )
+    assert close.feasible_given(truth)
+    assert not Report((0.5 + 2e-9, 0.25), (0.0, 0.0)).feasible_given(truth)
+
+
 def test_audit_report_witness_consistency():
     truth = ValueProfile((0.5,), (0.5,))
     dev = Report((0.0,), (0.0,))

@@ -16,7 +16,29 @@ from tablemech import (
     message_space,
     message_space_size,
 )
+from tablemech import evaluation
 from tablemech.evaluation import flatten_index, lattice_points
+
+
+def from_table_per_row(table):
+    """Oracle: the per-row argmax tabulation that ``from_table`` replaced."""
+    n, k = table.n_projects, table.grid_resolution
+    size = k**n
+    masks = table.indicators.reshape(size, n)
+    vals = lattice_points(n, k)
+    dec = np.empty((size, size), dtype=np.int64)
+    for r in range(size):
+        dec[r] = np.argmax(np.where(masks[r], vals, -np.inf), axis=1)
+    return dec
+
+
+def random_monotone_table(rng, n, k):
+    """Prefix-OR of sparse random seeds, with one random project always on."""
+    ind = rng.random((k,) * n + (n,)) < rng.uniform(0.02, 0.4)
+    for axis in range(n):
+        ind = np.logical_or.accumulate(ind, axis=axis)
+    ind[..., rng.integers(0, n)] = True
+    return TableMechanismGrid(ind)
 
 
 def test_lattice_points_order_and_values():
@@ -80,6 +102,48 @@ def test_grid_mechanism_validation():
         GridMechanism(2, 3, np.zeros((9, 9), dtype=float))
     gm = GridMechanism(2, 3, np.zeros((9, 9), dtype=int))
     assert gm.decide([0.5, 1.0], [0.0, 0.0]) == 0
+
+
+@pytest.mark.parametrize("block_cells", [None, 40])
+@pytest.mark.parametrize("n,ks", [(2, (2, 3, 5, 9)), (3, (2, 3, 4)), (4, (2, 3))])
+def test_from_table_matches_per_row_oracle(n, ks, block_cells, monkeypatch):
+    if block_cells is not None:  # many set chunks, one set or fewer each
+        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(100 + n)
+    for k in ks:
+        for _ in range(6):
+            tab = random_monotone_table(rng, n, k)
+            dec = GridMechanism.from_table(tab).decisions
+            assert dec.dtype == np.int8
+            assert np.array_equal(dec, from_table_per_row(tab))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8])
+def test_grid_mechanism_copies_its_decisions(dtype):
+    d = np.zeros((9, 9), dtype=dtype)
+    gm = GridMechanism(2, 3, d)
+    assert d.flags.writeable  # the caller's array is left as it was
+    d[0, 0] = 1
+    assert gm.decide([0, 0], [0, 0]) == 0
+    # a read-only view over a writable base does not alias the mechanism
+    base = np.zeros((9, 9), dtype=dtype)
+    view = base.view()
+    view.setflags(write=False)
+    gm = GridMechanism(2, 3, view)
+    base[0, 0] = 1
+    assert gm.decide([0, 0], [0, 0]) == 0
+    assert gm.decisions.dtype == np.int8
+    assert not gm.decisions.flags.writeable
+
+
+def test_decisions_are_int8_and_range_checked_before_narrowing():
+    tab = TableMechanismGrid.from_cutoffs(CutoffVector([0.5, 0.25]), 3)
+    assert GridMechanism.from_table(tab).decisions.dtype == np.int8
+    assert GridMechanism.from_callable(2, 3, lambda p, a: 1).decisions.dtype == np.int8
+    with pytest.raises(ValueError):  # 256 would wrap to 0 in int8
+        GridMechanism(2, 3, np.full((9, 9), 256))
+    with pytest.raises(ValueError):
+        GridMechanism(2, 3, np.full((9, 9), -256))
 
 
 def test_from_table_matches_decide_table():
