@@ -18,19 +18,8 @@ from .core import (
     cutoff_to_grid,
     decide_table,
 )
-from .evaluation import (
-    GridMechanism,
-    exact_discrete_eu,
-    export_decisions_csv,
-    message_space,
-    message_space_size,
-)
-from .audit import (
-    AuditBudgetError,
-    ExtractionResult,
-    audit_ic,
-    extract_table_structure,
-)
+from .evaluation import GridMechanism, exact_discrete_eu
+from .audit import ExtractionResult, audit_ic, extract_table_structure
 from .analytic import (
     BracketError,
     NonUniqueRootError,
@@ -54,12 +43,10 @@ from .montecarlo import (
 )
 from .dynamics import dynamic_cutoffs, dynamic_profit, sequential_profit_estimate
 from .regimes import (
-    CertificationError,
     TransfersBenchmark,
     expected_max_surplus,
     menu_grid_mechanism,
     menu_mechanism_is_ic,
-    menu_profit_estimate,
     no_verifiability_eu,
     transfers_eu,
 )
@@ -80,12 +67,10 @@ from .serialize import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditBudgetError",
     "AuditReport",
     "BestTableResult",
     "BracketError",
     "CHUNK",
-    "CertificationError",
     "CutoffVector",
     "DEFAULT_SEED",
     "EstimateWithError",
@@ -110,7 +95,6 @@ __all__ = [
     "estimate_value",
     "exact_discrete_eu",
     "expected_max_surplus",
-    "export_decisions_csv",
     "extract_table_structure",
     "grid_scan_argmax",
     "heterogeneous_cutoff_scan",
@@ -120,9 +104,6 @@ __all__ = [
     "mechanism_to_dict",
     "menu_grid_mechanism",
     "menu_mechanism_is_ic",
-    "menu_profit_estimate",
-    "message_space",
-    "message_space_size",
     "multi_cutoff_eu",
     "no_verifiability_eu",
     "optimal_single_cutoff",

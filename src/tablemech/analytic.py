@@ -174,8 +174,8 @@ def optimal_single_cutoff(n: int, tol: float = 1e-12) -> OptimalCutoffResult:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     lo = 0.0
     f_lo = phi(n, lo)
     if f_lo <= 0.0:

@@ -28,7 +28,6 @@ from .core import AuditReport, TableMechanismGrid, ValueProfile, Report
 from .evaluation import _BLOCK_CELLS, GridMechanism, lattice_points
 
 __all__ = [
-    "AuditBudgetError",
     "ExtractionResult",
     "audit_ic",
     "extract_table_structure",
@@ -36,10 +35,6 @@ __all__ = [
 
 NO_OVERSELLING = "no_overselling"
 UNRESTRICTED = "unrestricted"
-
-
-class AuditBudgetError(RuntimeError):
-    """The audit would exceed the configured (truth, report) pair budget."""
 
 
 @dataclass(frozen=True)
@@ -158,62 +153,33 @@ def _witness(gm: GridMechanism, reach, achievable, messages, p_flat, a_flat):
     return truth, report, gain
 
 
-def audit_ic(
-    mech,
-    *,
-    messages: str = NO_OVERSELLING,
-    budget_pairs: int | None = None,
-    sample_truths: int | None = None,
-    seed: int = 0,
-) -> AuditReport:
-    """Audit a mechanism for incentive compatibility.
+def audit_ic(mech, *, messages: str = NO_OVERSELLING) -> AuditReport:
+    """Audit a mechanism for incentive compatibility, exhaustively.
 
-    Exhaustive over the whole joint lattice by default.  With
-    ``sample_truths`` set, only that many uniformly drawn truths are checked
-    (each against its full deviation set) and the report is marked
-    non-exhaustive.  ``budget_pairs`` bounds the number of (truth, report)
-    pairs the audit may cover; exceeding it raises AuditBudgetError.
-
-    A witness pairs the first violating truth (lex order, or draw order when
-    sampled) with the lex-first feasible report paying the best achievable
-    payoff, so replaying it gains exactly the stated amount.
+    Every truth on the joint lattice is checked against its full deviation
+    set; ``checked`` counts the (truth, report) pairs that covers.  A witness
+    pairs the lex-first violating truth with the lex-first feasible report
+    paying the best achievable payoff, so replaying it gains exactly the
+    stated amount.
     """
     gm = _as_grid_mechanism(mech)
     n, k = gm.n_projects, gm.grid_resolution
     size = k**n
-    # (truth, report) pairs per truth profit point: every pi, or every pi <= p
-    pis = size if messages == UNRESTRICTED else (_multi_indices(n, k) + 1).prod(axis=1)
-    per_truth = np.broadcast_to(pis * size, (size,))
-    exhaustive = sample_truths is None
-    if exhaustive:
-        checked = int(per_truth.sum()) * size
+    # (truth, report) profit pairs: every pi, or every pi <= p; each pair is
+    # checked at every truth payoff against every payoff report
+    if messages == UNRESTRICTED:
+        profit_pairs = size * size
     else:
-        if sample_truths < 1:
-            raise ValueError("sample_truths must be positive")
-        rng = np.random.default_rng(seed)
-        p_flats = rng.integers(0, size, size=sample_truths)
-        a_flats = rng.integers(0, size, size=sample_truths)
-        checked = int(per_truth[p_flats].sum())
-    if budget_pairs is not None and checked > budget_pairs:
-        kind = "exhaustive" if exhaustive else "sampled"
-        raise AuditBudgetError(
-            f"{kind} audit covers {checked} pairs, budget is {budget_pairs}"
-        )
+        profit_pairs = int((_multi_indices(n, k) + 1).prod(axis=1).sum())
+    checked = profit_pairs * size * size
 
     reach = _reach(gm)
     achievable = _achievable(reach, k, messages)
-    vals = lattice_points(n, k)
-    if exhaustive:
-        hit = _first_violation(gm.decisions, achievable, vals)
-    else:
-        best = _best(achievable[p_flats], vals[a_flats])
-        truthful = vals[a_flats, gm.decisions[p_flats, a_flats]]
-        viol = np.flatnonzero(best > truthful)
-        hit = (int(p_flats[viol[0]]), int(a_flats[viol[0]])) if viol.size else None
+    hit = _first_violation(gm.decisions, achievable, lattice_points(n, k))
     if hit is None:
-        return AuditReport(True, None, checked, exhaustive)
+        return AuditReport(True, None, checked, True)
     witness = _witness(gm, reach, achievable, messages, *hit)
-    return AuditReport(False, witness, checked, exhaustive)
+    return AuditReport(False, witness, checked, True)
 
 
 def extract_table_structure(mech) -> ExtractionResult:

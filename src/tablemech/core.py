@@ -15,9 +15,8 @@ GridError rather than being snapped silently.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -119,9 +118,9 @@ class AuditReport:
 
     ``witness`` is present exactly when ``verdict`` is False: a (truth,
     deviating report, gain) triple whose deviation strictly beats
-    truth-telling by ``gain`` in agent payoff.  ``checked`` counts
-    (truth, report) pairs covered; ``exhaustive`` records whether that was
-    the full message space or a sampled subset.
+    truth-telling by ``gain`` in agent payoff.  ``checked`` counts the
+    (truth, report) pairs covered.  ``exhaustive`` is always True: every
+    audit covers the full message space at every truth.
     """
 
     verdict: bool
@@ -189,21 +188,6 @@ class TableMechanismGrid:
     def from_cutoffs(cls, cutoffs: "CutoffVector", k: int) -> "TableMechanismGrid":
         """Grid table for f_i(p) = [p_i >= c_i]; default project always on."""
         return cls(cutoffs.indicator_grid(k))
-
-    @classmethod
-    def from_predicates(
-        cls, n: int, k: int, predicates: Sequence[Callable[[np.ndarray], bool]]
-    ) -> "TableMechanismGrid":
-        """Build from per-project predicates over profit vectors (validated)."""
-        if len(predicates) != n:
-            raise ValueError(f"need {n} predicates, got {len(predicates)}")
-        grid = np.linspace(0.0, 1.0, k)
-        ind = np.zeros((k,) * n + (n,), dtype=bool)
-        for multi in itertools.product(range(k), repeat=n):
-            p = grid[list(multi)]
-            for i, pred in enumerate(predicates):
-                ind[multi + (i,)] = bool(pred(p))
-        return cls(ind)
 
     # -- basic properties -----------------------------------------------------
 

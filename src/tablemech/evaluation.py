@@ -1,39 +1,23 @@
-"""Grid mechanisms, feasible-report enumeration, exact discrete expected profit.
+"""Grid mechanisms and exact discrete expected profit.
 
 A GridMechanism is an arbitrary decision rule on the joint grid: any map
 from (profit lattice point, payoff lattice point) to a project index.  This
 is the container the incentive auditor consumes, and it can hold rules that
 are not table mechanisms at all.
-
-The no-overselling message space at a true profile is every report whose
-profit claims are componentwise at most the truth, with payoff claims free;
-``message_space`` streams it without materializing (it is exponential in n).
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
-from pathlib import Path
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .core import (
-    CutoffVector,
-    GridError,
-    TableMechanismGrid,
-    ValueProfile,
-    Report,
-    _as_index_array,
-)
+from .core import CutoffVector, TableMechanismGrid, _as_index_array
 
 __all__ = [
     "GridMechanism",
-    "message_space",
-    "message_space_size",
     "exact_discrete_eu",
-    "export_decisions_csv",
 ]
 
 # cap on the cells of any one scratch array in a blocked pass (per-set tables
@@ -165,32 +149,6 @@ def flatten_index(values, n: int, k: int, what: str) -> int:
     return int(np.ravel_multi_index(tuple(idx), (k,) * n))
 
 
-def message_space(profile: ValueProfile, k: int) -> Iterator[Report]:
-    """Stream every feasible report at an on-grid true profile.
-
-    Profit claims run over grid points at most the truth per coordinate;
-    payoff claims run over the whole grid.  Never materialized: the count is
-    prod(idx_i + 1) * k^n.
-    """
-    idx = _as_index_array(profile.profits, k, "profits")
-    grid = np.linspace(0.0, 1.0, k)
-    profit_axes = [tuple(grid[: i + 1]) for i in idx]
-    payoff_axis = tuple(grid)
-    n = profile.n_projects
-    for pi in itertools.product(*profit_axes):
-        for alpha in itertools.product(payoff_axis, repeat=n):
-            yield Report(pi, alpha)
-
-
-def message_space_size(profile: ValueProfile, k: int) -> int:
-    """Exact number of feasible reports, without enumeration."""
-    idx = _as_index_array(profile.profits, k, "profits")
-    count = 1
-    for i in idx:
-        count *= int(i) + 1
-    return count * k**profile.n_projects
-
-
 def exact_discrete_eu(mech: Union[GridMechanism, TableMechanismGrid]) -> float:
     """Uniform average of the chosen project's profit over the lattice.
 
@@ -225,34 +183,3 @@ def exact_discrete_eu(mech: Union[GridMechanism, TableMechanismGrid]) -> float:
         )  # (k^n rows) x (k^n payoff cols): profit of the chosen project
         return float(chosen.mean())
     raise TypeError(f"cannot evaluate {type(mech).__name__}")
-
-
-def export_decisions_csv(
-    mech: Union[GridMechanism, TableMechanismGrid], path: str | Path
-) -> int:
-    """Write one row per (profit, payoff) lattice pair; returns the row count.
-
-    Columns: p0..p{n-1}, a0..a{n-1}, decision.  Debugging aid for small
-    instances; refuses to write more than a million rows.
-    """
-    if isinstance(mech, TableMechanismGrid):
-        mech = GridMechanism.from_table(mech)
-    n, k = mech.n_projects, mech.grid_resolution
-    size = k**n
-    if size * size > 1_000_000:
-        raise ValueError(f"{size * size} rows is past the CSV export limit")
-    vals = lattice_points(n, k)
-    header = [f"p{i}" for i in range(n)] + [f"a{i}" for i in range(n)] + ["decision"]
-    rows = 0
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for r in range(size):
-            for c in range(size):
-                w.writerow(
-                    [f"{v:.12g}" for v in vals[r]]
-                    + [f"{v:.12g}" for v in vals[c]]
-                    + [int(mech.decisions[r, c])]
-                )
-                rows += 1
-    return rows

@@ -28,19 +28,13 @@ from .evaluation import GridMechanism
 from .montecarlo import DEFAULT_SEED, EstimateWithError, estimate_value
 
 __all__ = [
-    "CertificationError",
     "TransfersBenchmark",
     "no_verifiability_eu",
-    "menu_profit_estimate",
     "menu_grid_mechanism",
     "menu_mechanism_is_ic",
     "expected_max_surplus",
     "transfers_eu",
 ]
-
-
-class CertificationError(AssertionError):
-    """A menu mechanism's simulated profit strayed from 1/2."""
 
 
 def _menu_mask(menu: Iterable[int], n: int) -> np.ndarray:
@@ -54,42 +48,10 @@ def _menu_mask(menu: Iterable[int], n: int) -> np.ndarray:
     return mask
 
 
-def menu_profit_estimate(
-    menu: Iterable[int], n: int, n_samples: int, seed: int = DEFAULT_SEED
-) -> EstimateWithError:
-    """Simulated principal profit when the agent picks its favorite in the menu."""
-    mask = _menu_mask(menu, n)
-
-    def value(p, a):
-        d = np.argmax(np.where(mask, a, -np.inf), axis=1)
-        return p[np.arange(p.shape[0]), d]
-
-    return estimate_value(value, n, n_samples, seed)
-
-
-def no_verifiability_eu(
-    n: int,
-    *,
-    certify: bool = False,
-    n_samples: int = 200_000,
-    seed: int = DEFAULT_SEED,
-) -> float:
-    """Principal's profit ceiling without verifiable reports: exactly 1/2.
-
-    With ``certify``, backs the constant up by simulating two extreme menus
-    (default only, everything) and checking both land within four standard
-    errors of 1/2.
-    """
+def no_verifiability_eu(n: int) -> float:
+    """Principal's profit ceiling without verifiable reports: exactly 1/2."""
     if n < 1:
         raise ValueError("need at least one project")
-    if certify:
-        for menu in ({n - 1}, set(range(n))):
-            est = menu_profit_estimate(menu, n, n_samples, seed)
-            if abs(est.mean - 0.5) > 4.0 * est.std_error:
-                raise CertificationError(
-                    f"menu {sorted(menu)} profit {est.mean} strays from 1/2 "
-                    f"(stderr {est.std_error})"
-                )
     return 0.5
 
 

@@ -72,8 +72,35 @@ def _infer_kind(d: dict) -> str:
     raise ValueError("cannot infer mechanism kind from payload")
 
 
-def mechanism_from_dict(d: dict) -> Mechanism:
+# fields each kind cannot be read without; the others are cross-checks
+_REQUIRED = {
+    "cutoff": ("cutoffs",),
+    "table": ("indicators",),
+    "grid": ("n_projects", "grid_resolution", "decisions"),
+}
+
+
+def _check_payload(d) -> str:
+    """The payload's kind, once its shape is known to be readable."""
+    if not isinstance(d, dict):
+        raise ValueError(
+            f"mechanism payload must be a JSON object, not {type(d).__name__}"
+        )
     kind = d.get("kind") or _infer_kind(d)
+    if kind not in _REQUIRED:
+        raise ValueError(f"unknown mechanism kind {kind!r}")
+    for key in _REQUIRED[kind]:
+        if key not in d:
+            raise ValueError(f"{kind} mechanism payload lacks field {key!r}")
+    for key in ("n_projects", "grid_resolution"):
+        # bool is an int subclass; floats and strings would be coerced later
+        if key in d and (isinstance(d[key], bool) or not isinstance(d[key], int)):
+            raise ValueError(f"field {key!r} must be a JSON integer, got {d[key]!r}")
+    return kind
+
+
+def mechanism_from_dict(d: dict) -> Mechanism:
+    kind = _check_payload(d)
     if kind == "cutoff":
         cv = CutoffVector(d["cutoffs"])
         if "n_projects" in d and cv.n_projects != d["n_projects"]:
@@ -97,11 +124,9 @@ def mechanism_from_dict(d: dict) -> Mechanism:
                 f"{per_project.shape}"
             )
         return tab
-    if kind == "grid":
-        return GridMechanism(
-            d["n_projects"], d["grid_resolution"], np.asarray(d["decisions"])
-        )
-    raise ValueError(f"unknown mechanism kind {kind!r}")
+    return GridMechanism(
+        d["n_projects"], d["grid_resolution"], np.asarray(d["decisions"])
+    )
 
 
 def _write_atomic(path: str | Path, text: str) -> None:

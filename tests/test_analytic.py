@@ -120,6 +120,12 @@ def test_optimal_cutoff_rejects_single_project():
         optimal_single_cutoff(1)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-12])
+def test_optimal_cutoff_rejects_tol_outside_finite_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        optimal_single_cutoff(5, tol=tol)
+
+
 def test_cutoff_grows_like_one_minus_inverse_sqrt_n():
     for n in (10**4, 10**6):
         c = optimal_single_cutoff(n).cutoff

@@ -4,17 +4,41 @@ import numpy as np
 import pytest
 
 from tablemech import (
-    AuditBudgetError,
     CutoffVector,
     GridMechanism,
+    Report,
     TableMechanismGrid,
     ValueProfile,
     audit_ic,
     extract_table_structure,
-    message_space,
-    message_space_size,
 )
-from tablemech.core import decide_table
+from tablemech.core import _as_index_array, decide_table
+
+
+def message_space(profile: ValueProfile, k: int):
+    """Oracle: stream every feasible report at an on-grid true profile.
+
+    Profit claims run over grid points at most the truth per coordinate;
+    payoff claims run over the whole grid.  Never materialized: the count is
+    prod(idx_i + 1) * k^n.
+    """
+    idx = _as_index_array(profile.profits, k, "profits")
+    grid = np.linspace(0.0, 1.0, k)
+    profit_axes = [tuple(grid[: i + 1]) for i in idx]
+    payoff_axis = tuple(grid)
+    n = profile.n_projects
+    for pi in itertools.product(*profit_axes):
+        for alpha in itertools.product(payoff_axis, repeat=n):
+            yield Report(pi, alpha)
+
+
+def message_space_size(profile: ValueProfile, k: int) -> int:
+    """Oracle: exact number of feasible reports, without enumeration."""
+    idx = _as_index_array(profile.profits, k, "profits")
+    count = 1
+    for i in idx:
+        count *= int(i) + 1
+    return count * k**profile.n_projects
 
 
 def reverse_cutoff(k=5):
@@ -71,24 +95,6 @@ def test_reverse_cutoff_fails_with_underselling_witness():
     assert truth == ValueProfile((0.75, 0.0), (0.25, 0.0))
     assert report.reported_profits == (0.0, 0.0)
     assert gain == pytest.approx(0.25)
-
-
-def test_sampled_audit_finds_the_same_defect():
-    gm = reverse_cutoff()
-    rep = audit_ic(gm, sample_truths=50, seed=4)
-    assert not rep.verdict
-    assert not rep.exhaustive
-    replay_witness(gm, rep.witness)
-    ok = audit_ic(TableMechanismGrid.from_cutoffs(CutoffVector([0.5]), 5),
-                  sample_truths=50, seed=4)
-    assert ok.verdict and not ok.exhaustive
-
-
-def test_budget_guard():
-    tab = TableMechanismGrid.from_cutoffs(CutoffVector([0.5]), 5)
-    with pytest.raises(AuditBudgetError):
-        audit_ic(tab, budget_pairs=1000)
-    assert audit_ic(tab, budget_pairs=10**6).verdict
 
 
 def test_unrestricted_messages_break_cutoff_tables():
@@ -198,7 +204,7 @@ def brute_force_audit(gm: GridMechanism, truths, unrestricted, replays):
 def lattice_profiles(n, k):
     grid = np.linspace(0.0, 1.0, k)
     pts = [tuple(grid[list(m)]) for m in itertools.product(range(k), repeat=n)]
-    return pts, [ValueProfile(p, a) for p in pts for a in pts]
+    return [ValueProfile(p, a) for p in pts for a in pts]
 
 
 def random_rules():
@@ -220,10 +226,10 @@ def random_rules():
 
 def test_audit_matches_brute_force_over_message_space():
     verdicts = set()
-    for i, gm in enumerate(random_rules()):
+    for gm in random_rules():
         n, k = gm.n_projects, gm.grid_resolution
         size = k**n
-        pts, truths = lattice_profiles(n, k)
+        truths = lattice_profiles(n, k)
         for messages in ("no_overselling", "unrestricted"):
             unrestricted = messages == "unrestricted"
             per_truth = (
@@ -231,36 +237,22 @@ def test_audit_matches_brute_force_over_message_space():
                 if unrestricted
                 else (lambda t: message_space_size(t, k))
             )
-            replays = {}
-            # exhaustive, then three sampled audits drawing 40 truths each
-            for seed in (None, i, i + 100, i + 200):
-                sample = None if seed is None else 40
-                if sample is None:
-                    rep = audit_ic(gm, messages=messages)
-                    drawn = truths
-                else:
-                    rep = audit_ic(
-                        gm, messages=messages, sample_truths=sample, seed=seed
-                    )
-                    rng = np.random.default_rng(seed)
-                    p_idx = rng.integers(0, size, size=sample)
-                    a_idx = rng.integers(0, size, size=sample)
-                    drawn = [ValueProfile(pts[p], pts[a]) for p, a in zip(p_idx, a_idx)]
-                assert rep.exhaustive == (sample is None)
-                assert rep.checked == sum(per_truth(t) for t in drawn)
-                expected = brute_force_audit(gm, drawn, unrestricted, replays)
-                verdicts.add(rep.verdict)
-                if expected is None:
-                    assert rep.verdict and rep.witness is None
-                    continue
-                assert not rep.verdict
-                truth, report, gain = rep.witness
-                assert (truth, report, gain) == expected
-                # the witness is feasible and replays to exactly its gain
-                assert unrestricted or report.feasible_given(truth)
-                d_true = gm.decide(truth.profits, truth.payoffs)
-                d_dev = gm.decide(report.reported_profits, report.reported_payoffs)
-                assert truth.payoffs[d_dev] - truth.payoffs[d_true] == gain
+            rep = audit_ic(gm, messages=messages)
+            assert rep.exhaustive
+            assert rep.checked == sum(per_truth(t) for t in truths)
+            expected = brute_force_audit(gm, truths, unrestricted, {})
+            verdicts.add(rep.verdict)
+            if expected is None:
+                assert rep.verdict and rep.witness is None
+                continue
+            assert not rep.verdict
+            truth, report, gain = rep.witness
+            assert (truth, report, gain) == expected
+            # the witness is feasible and replays to exactly its gain
+            assert unrestricted or report.feasible_given(truth)
+            d_true = gm.decide(truth.profits, truth.payoffs)
+            d_dev = gm.decide(report.reported_profits, report.reported_payoffs)
+            assert truth.payoffs[d_dev] - truth.payoffs[d_true] == gain
     assert verdicts == {True, False}
 
 

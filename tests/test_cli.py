@@ -233,6 +233,43 @@ def test_nan_cutoff_file_exits_2(tmp_path, capsys, argv):
     assert "finite" in err
 
 
+def test_non_finite_tol_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "optimize", "--n", "5", "--tol", "inf")
+    assert code == 2 and out == ""
+    assert "tol" in err
+    cfg = tmp_path / "cfg"
+    cfg.write_text("tol = inf\n")
+    code, out, err = run(
+        capsys, "sweep", "--n-min", "2", "--n-max", "5", "--config", str(cfg)
+    )
+    assert code == 2 and out == ""
+    assert "tol" in err
+
+
+ZEROS = [[0] * 4] * 4  # a valid n=2, k=2 decision array
+
+
+@pytest.mark.parametrize(
+    "payload,field",
+    [
+        ({"n_projects": 2.0, "grid_resolution": 2, "decisions": ZEROS}, "n_projects"),
+        ({"n_projects": 2, "grid_resolution": "2", "decisions": ZEROS}, "grid_resolution"),
+        ({"kind": "grid", "n_projects": 2, "decisions": ZEROS}, "grid_resolution"),
+        ({"kind": "grid", "grid_resolution": 2, "decisions": ZEROS}, "n_projects"),
+        ({"kind": "table", "n_projects": 2}, "indicators"),
+        ({"kind": "cutoff", "n_projects": "2", "cutoffs": [0.5]}, "n_projects"),
+        ({"kind": "cutoff", "n_projects": True, "cutoffs": []}, "n_projects"),
+        ([{"kind": "cutoff", "cutoffs": [0.5]}], "object"),
+    ],
+)
+def test_malformed_mechanism_file_names_the_field(tmp_path, capsys, payload, field):
+    path = tmp_path / "mech.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "audit", str(path), "--grid", "3")
+    assert code == 2 and out == ""
+    assert field in err
+
+
 def test_out_file_replaced_atomically_with_plain_write_mode(tmp_path, capsys):
     plain = tmp_path / "plain.txt"
     plain.write_text("x")

@@ -145,9 +145,9 @@ def test_decide_table_examples():
     assert decide_table(tab, ValueProfile((0.25, 1.0), (0.9, 0.1))) == 1
     assert decide_table(tab, ValueProfile((0.75, 1.0), (0.9, 0.1))) == 0
     # three projects, only the default ever on
-    only_default = TableMechanismGrid.from_predicates(
-        3, 3, [lambda p: False, lambda p: False, lambda p: True]
-    )
+    ind = np.zeros((3, 3, 3, 3), dtype=bool)
+    ind[..., 2] = True
+    only_default = TableMechanismGrid(ind)
     for profits in itertools.product([0.0, 0.5, 1.0], repeat=3):
         prof = ValueProfile(profits, (1.0, 1.0, 0.0))
         assert decide_table(only_default, prof) == 2

@@ -12,12 +12,10 @@ from tablemech import (
     TableMechanismGrid,
     ValueProfile,
     exact_discrete_eu,
-    export_decisions_csv,
-    message_space,
-    message_space_size,
 )
 from tablemech import evaluation
 from tablemech.evaluation import flatten_index, lattice_points
+from test_audit import message_space, message_space_size
 
 
 def from_table_per_row(table):
@@ -198,17 +196,3 @@ def test_exact_discrete_eu_grid_vs_table_agree_for_generic_payoffs():
     tab = TableMechanismGrid.from_cutoffs(CutoffVector([0.5]), 21)
     gm = GridMechanism.from_table(tab)
     assert abs(exact_discrete_eu(gm) - exact_discrete_eu(tab)) < 0.03
-
-
-def test_export_decisions_csv(tmp_path):
-    tab = TableMechanismGrid.from_cutoffs(CutoffVector([0.5]), 3)
-    path = tmp_path / "dec.csv"
-    rows = export_decisions_csv(tab, path)
-    assert rows == 81
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "p0,p1,a0,a1,decision"
-    assert len(lines) == 82
-    # first row: all-zero profits and payoffs, only the default on the table
-    assert lines[1] == "0,0,0,0,1"
-    with pytest.raises(ValueError):
-        export_decisions_csv(TableMechanismGrid.from_cutoffs(CutoffVector([0.5]), 40), tmp_path / "big.csv")
