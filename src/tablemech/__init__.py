@@ -53,9 +53,7 @@ from .regimes import (
 from .search import (
     BestTableResult,
     best_table_mechanism_n2,
-    enumerate_monotone_indicators,
     indicator_eu_exact,
-    threshold_from_diagonal,
 )
 from .serialize import (
     load_mechanism,
@@ -89,7 +87,6 @@ __all__ = [
     "decide_table",
     "dynamic_cutoffs",
     "dynamic_profit",
-    "enumerate_monotone_indicators",
     "estimate_agent_payoff",
     "estimate_eu",
     "estimate_value",
@@ -113,6 +110,5 @@ __all__ = [
     "sequential_profit_estimate",
     "single_cutoff_eu",
     "symmetry_in_perturbation",
-    "threshold_from_diagonal",
     "transfers_eu",
 ]

@@ -3,8 +3,9 @@
 Structured results print as JSON; sweep-style outputs print as CSV rows for
 plotting.  All floats are serialized with 12 significant digits, every
 randomized command takes an explicit --seed (default 1729), and files are
-written atomically (temp file + rename).  TABLEMECH_THREADS caps Monte Carlo
-worker threads; results do not depend on it.
+written atomically (temp file + rename).  TABLEMECH_THREADS, a positive
+integer (default 1), sets Monte Carlo worker threads; results do not depend
+on it, and any other value is an error.
 
 Exit codes: 0 success; audit returns 1 when the mechanism is not incentive
 compatible; 2 for any error (bad flags, malformed files, bracket failure).
@@ -25,7 +26,8 @@ from .core import CutoffVector, cutoff_to_grid
 from .dynamics import dynamic_cutoffs, dynamic_profit
 from .evaluation import GridMechanism
 from .montecarlo import DEFAULT_SEED, estimate_agent_payoff, estimate_eu
-from .regimes import no_verifiability_eu, transfers_eu
+# transfers_eu is not called here, but bench/tracer.py rebinds it by this name
+from .regimes import expected_max_surplus, no_verifiability_eu, transfers_eu
 from .search import best_table_mechanism_n2
 from .serialize import _write_atomic, load_mechanism
 
@@ -150,8 +152,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    samples = _resolve(args, "samples")
-    seed = _resolve(args, "seed")
     tol = _resolve(args, "tol")
     rows = []
     for n in _range(args):
@@ -161,7 +161,7 @@ def cmd_compare(args) -> int:
                 no_verifiability_eu(n),
                 dynamic_profit(n),
                 _static_profit(n, tol),
-                transfers_eu(n, samples, seed).principal.mean,
+                expected_max_surplus(n),
             ]
         )
     _emit_rows(
@@ -253,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tablemech",
         description="Project-selection mechanisms: optimize, audit, compare.",
-        epilog="TABLEMECH_THREADS caps Monte Carlo threads (results unchanged).",
+        epilog="TABLEMECH_THREADS: Monte Carlo threads, a positive integer, default 1.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -278,12 +278,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, fmt="csv")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("compare", help="regime benchmarks per n")
+    p = sub.add_parser("compare", help="regime values per n, no sampling")
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--tol", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
+    for flag in ("--samples", "--seed"):
+        p.add_argument(flag, type=int, help="accepted; no longer changes the output")
     common(p, fmt="csv")
     p.set_defaults(func=cmd_compare)
 
@@ -300,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("search", help="exhaustive n=2 table search on a k-grid")
+    p = sub.add_parser("search", help="exact n=2 search over all C(2k,k) tables")
     p.add_argument("--grid", type=int, help="grid resolution k")
     common(p)
     p.set_defaults(func=cmd_search)

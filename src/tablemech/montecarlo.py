@@ -3,9 +3,9 @@
 Sampling is counter-based: sample index space is split into fixed chunks of
 32768, each chunk gets its own Philox stream keyed by (seed, chunk index),
 and per-chunk moments are merged in chunk order.  The estimate is therefore
-bit-identical across runs and across thread counts; threads (capped by the
-TABLEMECH_THREADS environment variable) only change who computes a chunk,
-never what it contains.
+bit-identical across runs and across thread counts; threads (the
+TABLEMECH_THREADS environment variable, a positive integer, at most one per
+chunk) only change who computes a chunk, never what it contains.
 
 Per sample of an n-project problem, 2n uniforms are drawn: profits first,
 payoffs second.
@@ -55,12 +55,11 @@ class EstimateWithError:
 
 
 def thread_count() -> int:
-    """Worker threads to use; TABLEMECH_THREADS caps it, default 1."""
+    """Worker threads to use: TABLEMECH_THREADS, a positive integer; unset is 1."""
     raw = os.environ.get("TABLEMECH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"TABLEMECH_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _chunk_stats(seed: int, index: int, count: int, n: int, value_fn):
@@ -115,8 +114,8 @@ def estimate_value(
     if rem:
         chunks.append((full, rem))
 
-    workers = thread_count()
-    if workers > 1 and len(chunks) > 1:
+    workers = min(thread_count(), len(chunks))
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             stats = list(
                 pool.map(

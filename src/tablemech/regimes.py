@@ -11,7 +11,8 @@ agent pays a fixed fee equal to the full expected surplus E[max_i (p_i+a_i)],
 then picks the surplus-maximizing project, netting zero in expectation.  An
 outcome-equivalent variant pays the transfer out of reported values
 (t = pi_d - fee) instead of charging the fee upfront; only the bookkeeping
-differs.
+differs.  The fee is exact (``expected_max_surplus``, by quadrature);
+``transfers_eu`` checks it against a simulation of the regime.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.integrate import quad
 
+from .analytic import _gauss_legendre
 from .audit import UNRESTRICTED, audit_ic
 from .core import TableMechanismGrid
 from .evaluation import GridMechanism
@@ -68,19 +69,16 @@ def menu_mechanism_is_ic(menu: Iterable[int], n: int, k: int) -> bool:
 
 
 def expected_max_surplus(n: int) -> float:
-    """E[max_i (p_i + a_i)] by quadrature, each p_i + a_i triangular on [0, 2]."""
+    """E[max_i (p_i + a_i)], each p_i + a_i triangular on [0, 2].
+
+    The tail 1 - F(s)^n integrates to 1 - 1/(2^n (2n+1)) on [0, 1] and to
+    1 - int_0^1 (1 - t^2/2)^n dt on [1, 2]; that integrand is a polynomial
+    of degree 2n, which n + 1 Gauss-Legendre nodes integrate exactly.
+    """
     if n < 1:
         raise ValueError("need at least one project")
-
-    def cdf(s: float) -> float:
-        if s <= 1.0:
-            return 0.5 * s * s
-        return 1.0 - 0.5 * (2.0 - s) ** 2
-
-    tail = lambda s: 1.0 - cdf(s) ** n
-    lo, _ = quad(tail, 0.0, 1.0)
-    hi, _ = quad(tail, 1.0, 2.0)
-    return lo + hi
+    u, w = _gauss_legendre(n + 1)
+    return 2.0 - (0.5**n / (2 * n + 1) + float(w @ (1.0 - 0.5 * u * u) ** n))
 
 
 @dataclass(frozen=True)

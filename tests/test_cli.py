@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -92,8 +93,7 @@ def test_compare_ordering(capsys):
         n, none, dyn, static, transfers = line.split(",")
         assert float(none) <= float(dyn) + 1e-12
         assert float(dyn) <= float(static) + 1e-12
-        # transfers is a simulated mean; give it Monte Carlo room
-        assert float(static) <= float(transfers) + 0.05
+        assert float(static) <= float(transfers) + 1e-12
 
 
 def test_dynamics_rows(capsys):
@@ -140,6 +140,16 @@ def test_search_small_grid(capsys):
     assert np.asarray(data["maximizers"][0]).shape == (3, 3)
 
 
+def test_search_past_ten(capsys):
+    code, out, _ = run(capsys, "search", "--grid", "12")
+    assert code == 0
+    data = json.loads(out)
+    assert data["n_candidates"] == math.comb(24, 12)
+    assert data["is_cutoff_shaped"] is True
+    assert data["n_maximizers"] == 1
+    assert np.asarray(data["maximizers"][0]).shape == (12, 12)
+
+
 def test_simulate_cutoff_file(cutoff_file, capsys):
     code, out, _ = run(
         capsys, "simulate", cutoff_file, "--samples", "50000", "--seed", "7"
@@ -167,6 +177,14 @@ def test_simulate_table_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert abs(data["mean"] - 0.5625) <= 4 * data["std_error"]
+
+
+def test_malformed_thread_count_exits_2(cutoff_file, capsys, monkeypatch):
+    monkeypatch.setenv("TABLEMECH_THREADS", "abc")
+    code, out, err = run(capsys, "simulate", cutoff_file, "--samples", "1000")
+    assert code == 2
+    assert out == ""
+    assert "TABLEMECH_THREADS" in err
 
 
 def test_simulate_deterministic_across_threads(cutoff_file, tmp_path, capsys, monkeypatch):

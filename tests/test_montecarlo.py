@@ -44,10 +44,10 @@ def test_thread_count_env(monkeypatch):
     assert thread_count() == 1
     monkeypatch.setenv("TABLEMECH_THREADS", "4")
     assert thread_count() == 4
-    monkeypatch.setenv("TABLEMECH_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("TABLEMECH_THREADS", "zebra")
-    assert thread_count() == 1
+    for bad in ("0", "-3", "zebra", "2.5", ""):
+        monkeypatch.setenv("TABLEMECH_THREADS", bad)
+        with pytest.raises(ValueError, match="TABLEMECH_THREADS"):
+            thread_count()
 
 
 def test_estimate_matches_single_pass_replay():

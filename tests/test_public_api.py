@@ -1,8 +1,12 @@
-"""The public surface: ``__all__`` is pinned, and every name the benchmark's
-tracer rebinds still exists where the tracer looks for it."""
+"""The public surface: ``__all__`` is pinned, every name the benchmark's
+tracer rebinds still exists where the tracer looks for it, and importing the
+package stays cheap."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tablemech
@@ -30,7 +34,6 @@ PUBLIC = {
     "decide_table",
     "dynamic_cutoffs",
     "dynamic_profit",
-    "enumerate_monotone_indicators",
     "estimate_agent_payoff",
     "estimate_eu",
     "estimate_value",
@@ -54,7 +57,6 @@ PUBLIC = {
     "sequential_profit_estimate",
     "single_cutoff_eu",
     "symmetry_in_perturbation",
-    "threshold_from_diagonal",
     "transfers_eu",
 }
 
@@ -87,3 +89,22 @@ def test_every_traced_name_exists_in_its_owner():
         assert attr in vars(submodule(mod)), f"{mod}.{attr}"
     for mod, cls, attr, _ in tracer._METHODS:
         assert attr in vars(getattr(submodule(mod), cls)), f"{mod}.{cls}.{attr}"
+
+
+def test_import_loads_no_scipy():
+    # scipy's import alone costs more than the rest of the package's start-up;
+    # code that needs it imports it inside the function that uses it
+    src = str(Path(tablemech.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    probe = (
+        "import sys, tablemech; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +81,17 @@ def test_expected_max_surplus_closed_forms():
         prev = cur
     with pytest.raises(ValueError):
         expected_max_surplus(0)
+
+
+def test_expected_max_surplus_matches_exact_fractions():
+    # E[max] = 2 - 1/(2^n (2n+1)) - int_0^1 (1 - t^2/2)^n dt, the integral
+    # expanded binomially into exact rationals
+    for n in range(1, 201):
+        exact = 2 - Fraction(1, 2**n * (2 * n + 1)) - sum(
+            math.comb(n, j) * Fraction(-1, 2) ** j / (2 * j + 1) for j in range(n + 1)
+        )
+        got = Fraction(expected_max_surplus(n))
+        assert abs(got - exact) <= Fraction(1, 10**15) * exact, n
 
 
 def test_transfers_benchmark_simulation_agrees_with_quadrature():
