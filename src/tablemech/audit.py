@@ -61,12 +61,6 @@ def _as_grid_mechanism(mech) -> GridMechanism:
     raise TypeError(f"cannot audit {type(mech).__name__}")
 
 
-def _point(flat: int, n: int, k: int) -> tuple:
-    """Grid coordinates of a flattened lattice index."""
-    grid = np.linspace(0.0, 1.0, k)
-    return tuple(grid[list(np.unravel_index(flat, (k,) * n))])
-
-
 def _reach(mech: GridMechanism) -> np.ndarray:
     """Boolean (k^n, n): projects each profit report triggers for some payoff report."""
     dec = mech.decisions
@@ -84,11 +78,6 @@ def _achievable(reach: np.ndarray, k: int, messages: str) -> np.ndarray:
     for axis in range(n):
         cube = np.logical_or.accumulate(cube, axis=axis)
     return cube.reshape(size, n)
-
-
-def _multi_indices(n: int, k: int) -> np.ndarray:
-    """Per-axis grid indices of every lattice point in C order, shape (k^n, n)."""
-    return np.indices((k,) * n).reshape(n, -1).T
 
 
 def _best(achievable_rows: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
@@ -134,23 +123,20 @@ def _first_violation(dec, achievable, vals):
     return None
 
 
-def _witness(gm: GridMechanism, reach, achievable, messages, p_flat, a_flat):
+def _witness(gm: GridMechanism, vals, reach, achievable, messages, p_flat, a_flat):
     """(truth, report, gain); the report is the lex-first feasible one paying
     the best achievable payoff, so replaying it earns exactly ``gain``."""
-    n, k = gm.n_projects, gm.grid_resolution
-    truth = ValueProfile(_point(p_flat, n, k), _point(a_flat, n, k))
-    payoff = np.asarray(truth.payoffs)
+    payoff = vals[a_flat]
     best = _best(achievable[p_flat], payoff)
     targets = payoff == best
     rows = (reach & targets).any(axis=1)
     if messages == NO_OVERSELLING:
-        multis = _multi_indices(n, k)
-        rows &= (multis <= multis[p_flat]).all(axis=1)
+        rows &= (vals <= vals[p_flat]).all(axis=1)
     pi_flat = int(np.argmax(rows))
     al_flat = int(np.argmax(targets[gm.decisions[pi_flat]]))
     gain = float(best - payoff[gm.decisions[p_flat, a_flat]])
-    report = Report(_point(pi_flat, n, k), _point(al_flat, n, k))
-    return truth, report, gain
+    truth = ValueProfile(vals[p_flat], payoff)
+    return truth, Report(vals[pi_flat], vals[al_flat]), gain
 
 
 def audit_ic(mech, *, messages: str = NO_OVERSELLING) -> AuditReport:
@@ -165,20 +151,22 @@ def audit_ic(mech, *, messages: str = NO_OVERSELLING) -> AuditReport:
     gm = _as_grid_mechanism(mech)
     n, k = gm.n_projects, gm.grid_resolution
     size = k**n
-    # (truth, report) profit pairs: every pi, or every pi <= p; each pair is
-    # checked at every truth payoff against every payoff report
+    # (truth, report) profit pairs: every pi, or every pi <= p, which is
+    # (1 + 2 + ... + k) per axis; each pair is checked at every truth payoff
+    # against every payoff report
     if messages == UNRESTRICTED:
         profit_pairs = size * size
     else:
-        profit_pairs = int((_multi_indices(n, k) + 1).prod(axis=1).sum())
+        profit_pairs = (k * (k + 1) // 2) ** n
     checked = profit_pairs * size * size
 
     reach = _reach(gm)
     achievable = _achievable(reach, k, messages)
-    hit = _first_violation(gm.decisions, achievable, lattice_points(n, k))
+    vals = lattice_points(n, k)
+    hit = _first_violation(gm.decisions, achievable, vals)
     if hit is None:
         return AuditReport(True, None, checked, True)
-    witness = _witness(gm, reach, achievable, messages, *hit)
+    witness = _witness(gm, vals, reach, achievable, messages, *hit)
     return AuditReport(False, witness, checked, True)
 
 
@@ -194,7 +182,8 @@ def extract_table_structure(mech) -> ExtractionResult:
     n, k = gm.n_projects, gm.grid_resolution
     achievable = _achievable(_reach(gm), k, NO_OVERSELLING)
     table = TableMechanismGrid(achievable.reshape((k,) * n + (n,)))
-    hit = _first_violation(gm.decisions, achievable, lattice_points(n, k))
+    vals = lattice_points(n, k)
+    hit = _first_violation(gm.decisions, achievable, vals)
     if hit is None:
         return ExtractionResult(True, table, None)
-    return ExtractionResult(False, table, ValueProfile(*(_point(f, n, k) for f in hit)))
+    return ExtractionResult(False, table, ValueProfile(*(vals[f] for f in hit)))

@@ -138,15 +138,40 @@ class AuditReport:
                 raise ValueError("witness gain must be strictly positive")
 
 
+def lattice_points(n: int, k: int) -> np.ndarray:
+    """All k^n lattice vectors in C order, shape (k^n, n)."""
+    grid = np.linspace(0.0, 1.0, k)
+    mesh = np.meshgrid(*([grid] * n), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _lattice_floor(values: np.ndarray, k: int) -> np.ndarray:
+    """Index of the highest lattice point at most ``values`` + _LATTICE_ATOL."""
+    return np.floor((values + _LATTICE_ATOL) * (k - 1)).astype(np.int64)
+
+
 def _as_index_array(values: Sequence[float], k: int, what: str) -> np.ndarray:
     """Map lattice values to integer grid indices, raising GridError off-lattice."""
     v = np.asarray(values, dtype=float)
-    idx = np.rint(v * (k - 1)).astype(np.int64)
+    idx = _lattice_floor(v, k)
     if np.any(idx < 0) or np.any(idx > k - 1):
         raise GridError(f"{what} {values!r} outside [0, 1]")
-    if not np.allclose(idx / (k - 1), v, rtol=0.0, atol=_LATTICE_ATOL):
+    if not np.all(v - idx / (k - 1) <= _LATTICE_ATOL):  # NaN fails too
         raise GridError(f"{what} {values!r} not on the {k}-point grid")
     return idx
+
+
+def _favorite(on: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
+    """The agent's favorite on-table project along the last axis, ties low."""
+    return np.argmax(np.where(on, payoffs, -np.inf), axis=-1)
+
+
+def _checked_choices(choices, rows: int, n: int) -> np.ndarray:
+    """A decision rule's output, checked to be one index in 0..n-1 per row."""
+    d = np.asarray(choices)
+    if d.shape != (rows,) or d.dtype.kind not in "iu" or np.any((d < 0) | (d >= n)):
+        raise ValueError(f"decision rule must return {rows} indices in 0..{n - 1}")
+    return d
 
 
 class TableMechanismGrid:
@@ -246,19 +271,17 @@ class TableMechanismGrid:
         return self._ind[tuple(idx)]
 
     def on_table_floor(self, profits: np.ndarray) -> np.ndarray:
-        """Mask at arbitrary profits in [0,1]^n, snapping each axis down.
+        """Masks at arbitrary profits in [0,1]^n, snapping each axis down.
 
-        Accepts a batch of shape (m, n) and returns (m, n) masks.  Exact for
-        tables built from on-grid cutoffs; used by the Monte Carlo driver.
+        Accepts profits of shape (..., n) and returns masks of the same
+        shape.  A lattice point, or a value within the lattice tolerance
+        below one, maps to that point; used by the Monte Carlo driver.
         """
         v = np.asarray(profits, dtype=float)
-        if np.any(v < 0.0) or np.any(v > 1.0):
+        if not np.all((v >= 0.0) & (v <= 1.0)):  # NaN fails too
             raise GridError("profit values outside [0, 1]")
-        k = self.grid_resolution
-        idx = np.minimum((v * (k - 1)).astype(np.int64), k - 1)
-        if v.ndim == 1:
-            return self._ind[tuple(idx)]
-        return self._ind[tuple(idx[:, i] for i in range(self.n_projects))]
+        idx = _lattice_floor(v, self.grid_resolution)
+        return self._ind[tuple(np.moveaxis(idx, -1, 0))]
 
 
 def decide_table(mech: TableMechanismGrid, profile: ValueProfile) -> int:
@@ -270,9 +293,7 @@ def decide_table(mech: TableMechanismGrid, profile: ValueProfile) -> int:
         raise ValueError(
             f"profile has {profile.n_projects} projects, mechanism {mech.n_projects}"
         )
-    mask = mech.on_table(profile.profits)
-    a = np.asarray(profile.payoffs, dtype=float)
-    return int(np.argmax(np.where(mask, a, -np.inf)))
+    return int(_favorite(mech.on_table(profile.profits), np.asarray(profile.payoffs)))
 
 
 class CutoffVector:
@@ -322,32 +343,34 @@ class CutoffVector:
         return f"CutoffVector({self._c.tolist()!r})"
 
     def on_table(self, profits: Sequence[float]) -> np.ndarray:
+        """Masks at profits of shape (..., n): p_i >= c_i."""
         p = np.asarray(profits, dtype=float)
-        full = self.full_cutoffs
-        if p.shape != full.shape:
+        if p.shape[-1:] != (self.n_projects,):
             raise ValueError(f"expected {self.n_projects} profits, got {p.shape}")
-        return p >= full
+        return p >= self.full_cutoffs
 
     def decide(self, profits: Sequence[float], payoffs: Sequence[float]) -> int:
         mask = self.on_table(profits)
         a = np.asarray(payoffs, dtype=float)
         if a.shape != mask.shape:
             raise ValueError(f"expected {self.n_projects} payoffs, got {a.shape}")
-        return int(np.argmax(np.where(mask, a, -np.inf)))
+        return int(_favorite(mask, a))
 
     def indicator_grid(self, k: int) -> np.ndarray:
         """Dense boolean indicators of shape (k,)*n + (n,) on the k-grid.
 
-        Off-grid cutoffs keep their exact meaning: grid point p_i is on iff
-        p_i >= c_i, so the threshold lands on the next grid point up.
+        Grid point p_i is on iff p_i >= c_i - 1e-9, the lattice tolerance:
+        a cutoff within it of a lattice point, above or below, turns that
+        point on, and any other off-grid cutoff lands on the next point up.
         """
         if k < 2:
             raise ValueError("grid resolution must be at least 2")
         n = self.n_projects
-        grid = np.linspace(0.0, 1.0, k)
+        c = self.full_cutoffs
+        j = _lattice_floor(c, k)
+        first_on = j + (c - j / (k - 1) > _LATTICE_ATOL)
         ind = np.zeros((k,) * n + (n,), dtype=bool)
-        for i, c in enumerate(self.full_cutoffs):
-            j0 = int(np.searchsorted(grid, c - 1e-12, side="left"))
+        for i, j0 in enumerate(first_on):
             shape = [1] * n
             shape[i] = k
             ind[..., i] = (np.arange(k) >= j0).reshape(shape)

@@ -8,12 +8,18 @@ are not table mechanisms at all.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Union
 
 import numpy as np
 
-from .core import CutoffVector, TableMechanismGrid, _as_index_array
+from .core import (
+    CutoffVector,
+    TableMechanismGrid,
+    _as_index_array,
+    _checked_choices,
+    _favorite,
+    lattice_points,
+)
 
 __all__ = [
     "GridMechanism",
@@ -39,15 +45,7 @@ class GridMechanism:
     _MAX_CELLS = 20_000_000
 
     def __init__(self, n_projects: int, grid_resolution: int, decisions: np.ndarray):
-        if n_projects < 1:
-            raise ValueError("need at least one project")
-        if grid_resolution < 2:
-            raise ValueError("grid resolution must be at least 2")
-        size = grid_resolution**n_projects
-        if size * size > self._MAX_CELLS:
-            raise ValueError(
-                f"dense decision array with {size}^2 cells exceeds the memory guard"
-            )
+        size = self._size(n_projects, grid_resolution)
         d = np.asarray(decisions)
         if d.shape != (size, size):
             raise ValueError(
@@ -63,6 +61,20 @@ class GridMechanism:
         self._dec = d.astype(np.int8, order="C")  # always a fresh copy
         self._dec.setflags(write=False)
 
+    @classmethod
+    def _size(cls, n: int, k: int) -> int:
+        """k^n, the side of the decision array, once n, k and the cell guard pass."""
+        if n < 1:
+            raise ValueError("need at least one project")
+        if k < 2:
+            raise ValueError("grid resolution must be at least 2")
+        size = k**n
+        if size * size > cls._MAX_CELLS:
+            raise ValueError(
+                f"dense decision array with {size}^2 cells exceeds the memory guard"
+            )
+        return size
+
     # -- construction ---------------------------------------------------------
 
     @classmethod
@@ -70,16 +82,24 @@ class GridMechanism:
         cls,
         n: int,
         k: int,
-        rule: Callable[[np.ndarray, np.ndarray], int],
+        rule: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ) -> "GridMechanism":
-        """Tabulate rule(profits, payoffs) -> index over the joint lattice."""
-        grid = np.linspace(0.0, 1.0, k)
-        pts = [grid[list(m)] for m in itertools.product(range(k), repeat=n)]
-        size = k**n
-        dec = np.empty((size, size), dtype=np.int64)
-        for r, p in enumerate(pts):
-            for c, a in enumerate(pts):
-                dec[r, c] = rule(p, a)
+        """Tabulate a batched rule over the joint lattice.
+
+        ``rule(P, A)`` gets (m, n) profit and payoff arrays, one lattice pair
+        per row, and returns m project indices in 0..n-1: the contract
+        ``estimate_eu`` uses for callable mechanisms.  It is called on row
+        blocks of at most ``_BLOCK_CELLS`` values.
+        """
+        size = cls._size(n, k)
+        vals = lattice_points(n, k)
+        dec = np.empty((size, size), dtype=np.int8)
+        rows = max(1, _BLOCK_CELLS // (size * n))
+        for start in range(0, size, rows):
+            p = np.repeat(vals[start : start + rows], size, axis=0)
+            a = np.tile(vals, (len(p) // size, 1))
+            d = _checked_choices(rule(p, a), len(p), n)
+            dec[start : start + rows] = d.reshape(-1, size)
         return cls(n, k, dec)
 
     @classmethod
@@ -99,9 +119,7 @@ class GridMechanism:
         chunk = max(1, _BLOCK_CELLS // (size * n))
         for start in range(0, len(sets), chunk):
             masks = sets[start : start + chunk, None, :]
-            rows[start : start + chunk] = np.argmax(
-                np.where(masks, vals, -np.inf), axis=2
-            )
+            rows[start : start + chunk] = _favorite(masks, vals)
         return cls(n, k, rows[which.reshape(-1)])
 
     @classmethod
@@ -135,13 +153,6 @@ class GridMechanism:
         )
 
 
-def lattice_points(n: int, k: int) -> np.ndarray:
-    """All k^n lattice vectors in C order, shape (k^n, n)."""
-    grid = np.linspace(0.0, 1.0, k)
-    mesh = np.meshgrid(*([grid] * n), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def flatten_index(values, n: int, k: int, what: str) -> int:
     idx = _as_index_array(values, k, what)
     if idx.shape != (n,):
@@ -160,21 +171,14 @@ def exact_discrete_eu(mech: Union[GridMechanism, TableMechanismGrid]) -> float:
     """
     if isinstance(mech, TableMechanismGrid):
         n, k = mech.n_projects, mech.grid_resolution
-        grid = np.linspace(0.0, 1.0, k)
-        # slice along the first profit axis to keep memory at O(k^{n-1})
-        if n == 1:
-            rest = np.zeros((1, 0))
-        else:
-            rest = lattice_points(n - 1, k)
-        ind = mech.indicators.reshape(k, k ** (n - 1), n)
+        vals = lattice_points(n, k)
+        masks = mech.indicators.reshape(-1, n)
+        rows = max(1, _BLOCK_CELLS // n)
         total = 0.0
-        for i in range(k):
-            vals = np.concatenate(
-                [np.full((rest.shape[0], 1), grid[i]), rest], axis=1
-            )
-            masks = ind[i]
-            counts = masks.sum(axis=1)
-            total += float(((vals * masks).sum(axis=1) / counts).sum())
+        for start in range(0, len(vals), rows):
+            m = masks[start : start + rows]
+            v = vals[start : start + rows]
+            total += float(((v * m).sum(axis=1) / m.sum(axis=1)).sum())
         return total / k**n
     if isinstance(mech, GridMechanism):
         vals = lattice_points(mech.n_projects, mech.grid_resolution)

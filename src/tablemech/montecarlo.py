@@ -21,7 +21,7 @@ from typing import Callable, Union
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import CutoffVector, TableMechanismGrid
+from .core import CutoffVector, TableMechanismGrid, _checked_choices, _favorite
 
 __all__ = [
     "DEFAULT_SEED",
@@ -142,49 +142,31 @@ Mechanism = Union[CutoffVector, TableMechanismGrid, Callable]
 
 def _decision_fn(mechanism: Mechanism, n_projects: int):
     """Vectorized (profits, payoffs) -> chosen index array for a mechanism."""
-    if isinstance(mechanism, CutoffVector):
+    if isinstance(mechanism, (CutoffVector, TableMechanismGrid)):
         if mechanism.n_projects != n_projects:
             raise ValueError(
                 f"mechanism has {mechanism.n_projects} projects, asked for {n_projects}"
             )
-        full = mechanism.full_cutoffs
-
-        def decide(p, a):
-            return np.argmax(np.where(p >= full, a, -np.inf), axis=1)
-
-        return decide
-    if isinstance(mechanism, TableMechanismGrid):
-        if mechanism.n_projects != n_projects:
-            raise ValueError(
-                f"mechanism has {mechanism.n_projects} projects, asked for {n_projects}"
-            )
-
-        def decide(p, a):
-            mask = mechanism.on_table_floor(p)
-            return np.argmax(np.where(mask, a, -np.inf), axis=1)
-
-        return decide
+        grid = isinstance(mechanism, TableMechanismGrid)
+        on_table = mechanism.on_table_floor if grid else mechanism.on_table
+        return lambda p, a: _favorite(on_table(p), a)
     if callable(mechanism):
-
-        def decide(p, a):
-            d = np.asarray(mechanism(p, a))
-            if d.shape != (p.shape[0],):
-                raise ValueError("decision callback must return one index per sample")
-            if np.any(d < 0) or np.any(d >= n_projects):
-                raise ValueError("decision callback returned an out-of-range index")
-            return d
-
-        return decide
+        return lambda p, a: _checked_choices(mechanism(p, a), p.shape[0], n_projects)
     raise TypeError(f"cannot simulate {type(mechanism).__name__}")
 
 
-def _infer_n(mechanism: Mechanism, n_projects: int | None) -> int:
-    if n_projects is not None:
-        return n_projects
-    known = getattr(mechanism, "n_projects", None)
-    if known is None:
-        raise ValueError("n_projects is required for callable mechanisms")
-    return known
+def _estimate(mechanism: Mechanism, n_projects, n_samples, seed, agent: bool):
+    """E[profit] or, with ``agent``, E[agent payoff] of the chosen project."""
+    if n_projects is None:
+        n_projects = getattr(mechanism, "n_projects", None)
+        if n_projects is None:
+            raise ValueError("n_projects is required for callable mechanisms")
+    decide = _decision_fn(mechanism, n_projects)
+
+    def value(p, a):
+        return (a if agent else p)[np.arange(p.shape[0]), decide(p, a)]
+
+    return estimate_value(value, n_projects, n_samples, seed)
 
 
 def estimate_eu(
@@ -197,16 +179,11 @@ def estimate_eu(
 
     Cutoff mechanisms are evaluated directly in continuous space (favorite
     among projects clearing their bars, default always available); grid
-    tables snap profits down to their lattice.  ``n_projects`` may be omitted
-    for mechanisms that know their own size.
+    tables snap profits down to their lattice.  A callable mechanism takes
+    (m, n) profit and payoff arrays and returns m project indices.
+    ``n_projects`` may be omitted for mechanisms that know their own size.
     """
-    n_projects = _infer_n(mechanism, n_projects)
-    decide = _decision_fn(mechanism, n_projects)
-
-    def value(p, a):
-        return p[np.arange(p.shape[0]), decide(p, a)]
-
-    return estimate_value(value, n_projects, n_samples, seed)
+    return _estimate(mechanism, n_projects, n_samples, seed, agent=False)
 
 
 def estimate_agent_payoff(
@@ -216,10 +193,4 @@ def estimate_agent_payoff(
     seed: int = DEFAULT_SEED,
 ) -> EstimateWithError:
     """Expected agent payoff a_{d(p,a)} of a mechanism, by simulation."""
-    n_projects = _infer_n(mechanism, n_projects)
-    decide = _decision_fn(mechanism, n_projects)
-
-    def value(p, a):
-        return a[np.arange(p.shape[0]), decide(p, a)]
-
-    return estimate_value(value, n_projects, n_samples, seed)
+    return _estimate(mechanism, n_projects, n_samples, seed, agent=True)

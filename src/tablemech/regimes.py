@@ -11,7 +11,7 @@ agent pays a fixed fee equal to the full expected surplus E[max_i (p_i+a_i)],
 then picks the surplus-maximizing project, netting zero in expectation.  An
 outcome-equivalent variant pays the transfer out of reported values
 (t = pi_d - fee) instead of charging the fee upfront; only the bookkeeping
-differs.  The fee is exact (``expected_max_surplus``, by quadrature);
+differs.  The fee is exact (``expected_max_surplus``, by a recurrence);
 ``transfers_eu`` checks it against a simulation of the regime.
 """
 
@@ -22,7 +22,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .analytic import _gauss_legendre
 from .audit import UNRESTRICTED, audit_ic
 from .core import TableMechanismGrid
 from .evaluation import GridMechanism
@@ -72,13 +71,16 @@ def expected_max_surplus(n: int) -> float:
     """E[max_i (p_i + a_i)], each p_i + a_i triangular on [0, 2].
 
     The tail 1 - F(s)^n integrates to 1 - 1/(2^n (2n+1)) on [0, 1] and to
-    1 - int_0^1 (1 - t^2/2)^n dt on [1, 2]; that integrand is a polynomial
-    of degree 2n, which n + 1 Gauss-Legendre nodes integrate exactly.
+    1 - I_n on [1, 2], with I_n = int_0^1 (1 - t^2/2)^n dt.  Integrating by
+    parts gives I_n = (2^-n + 2n I_{n-1}) / (2n + 1) from I_0 = 1, a
+    recurrence that shrinks any rounding error it carries.
     """
     if n < 1:
         raise ValueError("need at least one project")
-    u, w = _gauss_legendre(n + 1)
-    return 2.0 - (0.5**n / (2 * n + 1) + float(w @ (1.0 - 0.5 * u * u) ** n))
+    integral = 1.0
+    for j in range(1, n + 1):
+        integral = (0.5**j + 2 * j * integral) / (2 * j + 1)
+    return 2.0 - (0.5**n / (2 * n + 1) + integral)
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ class TransfersBenchmark:
 
 
 def transfers_eu(n: int, n_samples: int, seed: int = DEFAULT_SEED) -> TransfersBenchmark:
-    """Benchmark the selling-the-firm mechanism by simulation plus quadrature."""
+    """Benchmark the selling-the-firm mechanism: simulation against the exact fee."""
     fee = expected_max_surplus(n)
 
     def surplus(p, a):

@@ -147,8 +147,9 @@ def _write_atomic(path: str | Path, text: str) -> None:
 
 
 def save_mechanism(mech: Mechanism, path: str | Path) -> None:
-    """Write the mechanism's JSON form atomically."""
-    _write_atomic(path, json.dumps(mechanism_to_dict(mech), indent=2) + "\n")
+    """Write the mechanism's JSON form atomically, compact: no whitespace."""
+    text = json.dumps(mechanism_to_dict(mech), separators=(",", ":"))
+    _write_atomic(path, text + "\n")
 
 
 def load_mechanism(path: str | Path) -> Mechanism:

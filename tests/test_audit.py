@@ -45,7 +45,7 @@ def reverse_cutoff(k=5):
     # availability *drops* as reported profit rises: not monotone, so the
     # no-overselling reporting game can be gamed by underselling
     def rule(p, a):
-        return 0 if (p[0] <= 0.5 and a[0] >= a[1]) else 1
+        return np.where((p[:, 0] <= 0.5) & (a[:, 0] >= a[:, 1]), 0, 1)
 
     return GridMechanism.from_callable(2, k, rule)
 
@@ -68,6 +68,20 @@ def test_cutoff_table_is_ic_and_pair_count_is_exact():
     assert rep.verdict and rep.witness is None and rep.exhaustive
     # truths x feasible reports: 25 payoff points x 25 truths x (1+2+..+5)^2
     assert rep.checked == 25 * 25 * 15 * 15
+
+
+def test_checked_matches_summed_feasible_reports():
+    # the closed form (k(k+1)/2)^n k^2n against the per-truth sum of
+    # prod(idx_i + 1) feasible profit reports, times payoff truths and reports
+    for n in (1, 2, 3, 4):
+        for k in range(2, 10):
+            size = k**n
+            if size * size > GridMechanism._MAX_CELLS:
+                continue
+            multis = np.indices((k,) * n).reshape(n, -1).T
+            summed = int((multis + 1).prod(axis=1).sum()) * size * size
+            rep = audit_ic(GridMechanism(n, k, np.zeros((size, size), np.int8)))
+            assert rep.verdict and rep.checked == summed, (n, k)
 
 
 def test_random_staircase_tables_are_ic():
@@ -112,7 +126,7 @@ def test_unrestricted_messages_break_cutoff_tables():
 
 def test_constant_menu_rule_is_ic_even_unrestricted():
     def rule(p, a):
-        return int(np.argmax(a))
+        return np.argmax(a, axis=1)
 
     gm = GridMechanism.from_callable(2, 4, rule)
     assert audit_ic(gm, messages="unrestricted").verdict

@@ -32,7 +32,7 @@ def cutoff_file(tmp_path):
 @pytest.fixture
 def bad_rule_file(tmp_path):
     def rule(p, a):
-        return 0 if (p[0] <= 0.5 and a[0] >= a[1]) else 1
+        return np.where((p[:, 0] <= 0.5) & (a[:, 0] >= a[:, 1]), 0, 1)
 
     path = tmp_path / "reverse.json"
     save_mechanism(GridMechanism.from_callable(2, 5, rule), path)

@@ -12,8 +12,11 @@ from tablemech.core import (
     Report,
     TableMechanismGrid,
     ValueProfile,
+    _as_index_array,
+    _favorite,
     cutoff_to_grid,
     decide_table,
+    lattice_points,
 )
 
 
@@ -99,6 +102,11 @@ def test_cutoff_on_table_and_decide():
     # off-table favorite loses to the default
     assert cv.decide([0.2, 0.9], [0.9, 0.1]) == 1
     assert cv.decide([0.7, 0.9], [0.9, 0.1]) == 0
+    # a batch of profit vectors, shape (..., n)
+    batch = np.array([[[0.2, 0.9], [0.5, 0.0]]])
+    assert np.array_equal(cv.on_table(batch), [[[False, True], [True, True]]])
+    with pytest.raises(ValueError):
+        cv.on_table([[0.2, 0.9, 0.1]])
 
 
 @pytest.mark.parametrize(
@@ -179,6 +187,49 @@ def test_on_table_floor_matches_lattice_on_grid_points():
     assert np.array_equal(
         tab.on_table_floor(np.array([0.49, 0.26, 0.0])), tab.on_table([0.25, 0.25, 0.0])
     )
+
+
+def test_on_table_floor_maps_every_lattice_point_to_itself():
+    # grid[j] * (k - 1) can round to just below j (at k = 8, grid[5] * 7 is
+    # 4.999999999999999), so a plain floor would snap that point one step down
+    g = np.linspace(0.0, 1.0, 8)
+    tab = cutoff_to_grid(CutoffVector([5 / 7]), 8)
+    assert np.array_equal(tab.on_table_floor([g[5], 0.0]), [True, True])
+    assert np.array_equal(tab.on_table([g[5], 0.0]), [True, True])
+    for k in range(2, 201):
+        # project 0 switches on across the anti-diagonal, so a point snapped
+        # one step down along either axis falls off the table
+        anti = np.add.outer(np.arange(k), np.arange(k)) >= k - 1
+        tab = TableMechanismGrid(np.stack([anti, np.ones((k, k), bool)], axis=-1))
+        pts = lattice_points(2, k)
+        assert np.array_equal(tab.on_table_floor(pts), tab.indicators.reshape(-1, 2)), k
+        diag = pts[(k - 1) * np.arange(1, k + 1)]
+        for p in diag:
+            assert np.array_equal(tab.on_table_floor(p), tab.on_table(p)), (k, p)
+        # a value within the tolerance below a lattice point snaps up to it
+        below = np.maximum(diag - 5e-10, 0.0)
+        assert np.array_equal(tab.on_table_floor(below), tab.on_table_floor(diag)), k
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 11, 101])
+def test_indicator_grid_tolerance_matches_index_snapping(k):
+    # a cutoff within the lattice tolerance of grid[j] is grid[j] itself:
+    # the first on point is the index that _as_index_array snaps it to
+    g = np.linspace(0.0, 1.0, k)
+    for j in range(k):
+        for c in (g[j] - 5e-10, g[j], g[j] + 5e-10):
+            c = min(max(c, 0.0), 1.0)
+            first_on = int(np.argmax(CutoffVector([c]).indicator_grid(k)[:, 0, 0]))
+            assert first_on == _as_index_array([c], k, "cutoff")[0], (j, c)
+        if j < k - 1:  # beyond the tolerance the threshold moves up one point
+            ind = CutoffVector([g[j] + 2e-9]).indicator_grid(k)
+            assert int(np.argmax(ind[:, 0, 0])) == j + 1
+
+
+def test_favorite_ties_go_to_lowest_index():
+    on = np.array([[True, True, True], [False, True, True], [True, False, True]])
+    payoffs = np.array([[0.5, 0.5, 0.5], [0.9, 0.3, 0.3], [0.2, 0.7, 0.2]])
+    assert _favorite(on, payoffs).tolist() == [0, 1, 0]
 
 
 @st.composite

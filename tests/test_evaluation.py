@@ -30,6 +30,19 @@ def from_table_per_row(table):
     return dec
 
 
+def from_callable_loop(n, k, rule):
+    """Oracle: the per-cell double loop that the batched ``from_callable``
+    replaced, calling ``rule`` on one (profits, payoffs) pair at a time."""
+    grid = np.linspace(0.0, 1.0, k)
+    pts = [grid[list(m)] for m in itertools.product(range(k), repeat=n)]
+    size = k**n
+    dec = np.empty((size, size), dtype=np.int64)
+    for r, p in enumerate(pts):
+        for c, a in enumerate(pts):
+            dec[r, c] = rule(p[None], a[None])[0]
+    return dec
+
+
 def random_monotone_table(rng, n, k):
     """Prefix-OR of sparse random seeds, with one random project always on."""
     ind = rng.random((k,) * n + (n,)) < rng.uniform(0.02, 0.4)
@@ -116,6 +129,44 @@ def test_from_table_matches_per_row_oracle(n, ks, block_cells, monkeypatch):
             assert np.array_equal(dec, from_table_per_row(tab))
 
 
+@pytest.mark.parametrize("block_cells", [None, 5])
+def test_from_callable_matches_per_cell_loop(block_cells, monkeypatch):
+    if block_cells is not None:  # one profit row per block
+        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", block_cells)
+
+    def rule(p, a):  # depends on both profits and payoffs
+        score = np.floor(7 * p.sum(axis=1) + 3 * a[:, 0] - a[:, -1]).astype(int)
+        return score % p.shape[1]
+
+    for n in (1, 2, 3):
+        for k in (2, 3, 4):
+            dec = GridMechanism.from_callable(n, k, rule).decisions
+            assert np.array_equal(dec, from_callable_loop(n, k, rule)), (n, k)
+    calls = []
+    GridMechanism.from_callable(2, 3, lambda p, a: calls.append(len(p)) or rule(p, a))
+    assert calls == ([81] if block_cells is None else [9] * 9)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda p, a: 1,  # a scalar, not one index per row
+        lambda p, a: np.zeros(len(p) - 1, int),
+        lambda p, a: np.zeros((len(p), 1), int),
+        lambda p, a: np.full(len(p), 0.0),  # not integers
+        lambda p, a: np.full(len(p), 2),  # out of range for n = 2
+        lambda p, a: np.full(len(p), -1),
+    ],
+)
+def test_callable_rule_output_is_checked(bad):
+    from tablemech import estimate_eu
+
+    with pytest.raises(ValueError, match="decision rule"):
+        GridMechanism.from_callable(2, 3, bad)
+    with pytest.raises(ValueError, match="decision rule"):
+        estimate_eu(bad, 2, n_samples=100)
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.int8])
 def test_grid_mechanism_copies_its_decisions(dtype):
     d = np.zeros((9, 9), dtype=dtype)
@@ -137,7 +188,8 @@ def test_grid_mechanism_copies_its_decisions(dtype):
 def test_decisions_are_int8_and_range_checked_before_narrowing():
     tab = TableMechanismGrid.from_cutoffs(CutoffVector([0.5, 0.25]), 3)
     assert GridMechanism.from_table(tab).decisions.dtype == np.int8
-    assert GridMechanism.from_callable(2, 3, lambda p, a: 1).decisions.dtype == np.int8
+    ones = GridMechanism.from_callable(2, 3, lambda p, a: np.ones(len(p), int))
+    assert ones.decisions.dtype == np.int8
     with pytest.raises(ValueError):  # 256 would wrap to 0 in int8
         GridMechanism(2, 3, np.full((9, 9), 256))
     with pytest.raises(ValueError):

@@ -86,7 +86,7 @@ def test_expected_max_surplus_closed_forms():
 def test_expected_max_surplus_matches_exact_fractions():
     # E[max] = 2 - 1/(2^n (2n+1)) - int_0^1 (1 - t^2/2)^n dt, the integral
     # expanded binomially into exact rationals
-    for n in range(1, 201):
+    for n in [*range(1, 201), 500, 1500]:
         exact = 2 - Fraction(1, 2**n * (2 * n + 1)) - sum(
             math.comb(n, j) * Fraction(-1, 2) ** j / (2 * j + 1) for j in range(n + 1)
         )

@@ -48,6 +48,11 @@ def test_grid_roundtrip(tmp_path):
     back = load_mechanism(path)
     assert isinstance(back, GridMechanism)
     assert back == gm
+    # written compact, on one line; files written indented still load
+    compact = json.dumps(mechanism_to_dict(gm), separators=(",", ":"))
+    assert path.read_text() == compact + "\n"
+    path.write_text(json.dumps(mechanism_to_dict(gm), indent=2) + "\n")
+    assert load_mechanism(path) == gm
 
 
 def test_kind_inferred_when_missing():
